@@ -17,7 +17,9 @@
 //
 // Unlike the update-path rigs, the timed phase here is read-only: each
 // variant builds its tree once (untimed — the fence never changes the
-// update path's structure) and then runs the identical query battery.
+// update path's structure), restores it from its snapshot the way a
+// report tool loads a saved profile (so range queries read the
+// subtree-sum column), and then runs the identical query battery.
 // Both variants accumulate a checksum over every estimate and bracket,
 // and the run aborts if they differ by even one bit: the throughput
 // claim is only meaningful because the answers are provably identical.
@@ -38,6 +40,7 @@
 
 #include "bench/Common.h"
 #include "core/RapTree.h"
+#include "core/Serialization.h"
 #include "support/ArgParse.h"
 #include "support/BenchReport.h"
 #include "support/Distributions.h"
@@ -275,9 +278,12 @@ int main(int Argc, char **Argv) {
     for (int Fenced = 0; Fenced != 2; ++Fenced) {
       RapConfig Config = Spec.Config;
       Config.EnableRangeFence = Fenced != 0;
-      RapTree Tree(Config);
+      RapTree Live(Config);
       for (uint64_t X : Spec.Events)
-        Tree.addPoint(X);
+        Live.addPoint(X);
+      std::unique_ptr<RapTree> Restored =
+          ProfileSnapshot::capture(Live).restore();
+      const RapTree &Tree = *Restored;
 
       BenchVariant V;
       V.Name = Fenced ? "fenced" : "legacy";

@@ -19,9 +19,12 @@
 /// descends by loading one packed navigation word per level — no
 /// pointer chasing, and child selection is a branchless shift-and-mask
 /// because every node range is aligned to its own width. RapNode is a
-/// 16-byte handle (arena pointer + id) preserving the original
-/// pointer-based read API; handles live in a std::deque so their
-/// addresses stay stable while the arena grows.
+/// small value handle (arena pointer + id) that the tree mints on
+/// demand: root(), findSmallestCover() and child() return it by value,
+/// so the arena keeps no per-slot handle storage. The arena also
+/// carries a subtree-sum column, refreshed by the tree's whole-tree
+/// walks (merges, absorb, restore), from which subtreeWeight() answers
+/// in O(1) while it is fresh.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +35,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <vector>
 
 namespace rap {
@@ -43,15 +46,18 @@ namespace detail {
 struct NodeArena;
 } // namespace detail
 
-/// One range-counter of the profile tree. A lightweight handle into the
-/// owning tree's node arena; copying it does not copy the node.
+/// One range-counter of the profile tree. A lightweight value handle
+/// into the owning tree's node arena; copying it does not copy the
+/// node. A handle stays usable while its tree lives, but it names an
+/// arena slot, so after a merge or split it may describe a different
+/// range: re-read handles after updating the tree.
 class RapNode {
   friend class RapTree;
 
 public:
-  /// Internal: binds a handle to arena slot \p NodeIndex. Handles are
-  /// minted by the arena itself; user code receives them from
-  /// RapTree::root(), child() and findSmallestCover().
+  /// Internal: binds a handle to arena slot \p NodeIndex. User code
+  /// receives handles from RapTree::root(), child() and
+  /// findSmallestCover().
   RapNode(const detail::NodeArena *ArenaPtr, uint32_t NodeIndex)
       : Arena(ArenaPtr), Index(NodeIndex) {}
 
@@ -81,14 +87,16 @@ public:
   /// fully merged back into a leaf).
   unsigned numChildSlots() const;
 
-  /// Child at \p Slot, or null if that sub-range is currently merged
+  /// Child at \p Slot, or empty if that sub-range is currently merged
   /// into this node.
-  const RapNode *child(unsigned Slot) const;
+  std::optional<RapNode> child(unsigned Slot) const;
 
   /// Total weight of this node plus all descendants. This is the RAP
   /// estimate for the number of stream events in [lo(), hi()]; it is
   /// always a lower bound on the true count (Sec 4.3). Saturates at
-  /// 2^64-1 like the counters themselves.
+  /// 2^64-1 like the counters themselves. O(1) from the subtree-sum
+  /// column while it is fresh (after a merge pass, absorb or restore
+  /// and before the next update); otherwise a walk of the subtree.
   uint64_t subtreeWeight() const;
 
   /// Number of nodes in this subtree including this node.
@@ -103,7 +111,7 @@ namespace detail {
 
 /// Slab storage for every node of one tree, structure-of-arrays.
 ///
-/// Node ids are 32-bit indices into four parallel vectors. The children
+/// Node ids are 32-bit indices into five parallel vectors. The children
 /// of a split node are one contiguous id block, so locating the child
 /// covering X needs only the parent's packed navigation word:
 ///
@@ -128,11 +136,14 @@ struct NodeArena {
   std::vector<uint64_t> Counts; ///< own counter per node.
   std::vector<uint64_t> Navs;   ///< packed navigation word per node.
   std::vector<uint8_t> Widths;  ///< widthBits() per node.
-
-  /// Address-stable handle per node (deque: growth never moves
-  /// existing elements), so the child()/root() reference API of the
-  /// pointer-based tree keeps working over arena storage.
-  std::deque<RapNode> Handles;
+  /// Saturating subtree weight per node. Never maintained on update:
+  /// RapTree recomputes it in the post-order walk that follows every
+  /// merge pass, absorb and restore, and reads it only while
+  /// SumsFresh says every live slot holds its exact subtree weight.
+  std::vector<uint64_t> Sums;
+  /// True while Sums is exact for every live node; cleared by any
+  /// counter move (addPoint, absorb's union).
+  bool SumsFresh = false;
 
   /// Recycled child blocks, indexed by log2 of the block's slot count.
   std::vector<std::vector<uint32_t>> FreeBlocks;
@@ -176,10 +187,12 @@ struct NodeArena {
   /// Never throws (see freeBlock).
   void killSubtree(uint32_t Node) noexcept;
 
-  uint64_t subtreeWeight(uint32_t Node) const;
+  uint64_t subtreeWeight(uint32_t Node) const {
+    return SumsFresh ? Sums[Node] : walkSubtreeWeight(Node);
+  }
+  /// subtreeWeight by recursion over the counters, ignoring Sums.
+  uint64_t walkSubtreeWeight(uint32_t Node) const;
   uint64_t subtreeNodeCount(uint32_t Node) const;
-
-  const RapNode *handle(uint32_t Node) const { return &Handles[Node]; }
 
 private:
   uint32_t allocBlock(unsigned SlotLog2);
@@ -212,13 +225,13 @@ inline unsigned RapNode::numChildSlots() const {
   return 1u << detail::NodeArena::navSlotLog2(Nav);
 }
 
-inline const RapNode *RapNode::child(unsigned Slot) const {
+inline std::optional<RapNode> RapNode::child(unsigned Slot) const {
   uint64_t Nav = Arena->Navs[Index];
   assert(Slot < numChildSlots() && "child slot out of range");
   uint32_t Child = detail::NodeArena::navFirstChild(Nav) + Slot;
   if (detail::NodeArena::navIsDead(Arena->Navs[Child]))
-    return nullptr; // Sub-range currently merged into this node.
-  return Arena->handle(Child);
+    return std::nullopt; // Sub-range currently merged into this node.
+  return RapNode(Arena, Child);
 }
 
 inline uint64_t RapNode::subtreeWeight() const {

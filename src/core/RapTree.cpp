@@ -9,9 +9,18 @@
 // detail::NodeArena; every routine below works on 32-bit node ids and
 // re-subscripts the vectors after any call that can allocate (vector
 // growth moves the slabs, so references must never be held across an
-// allocChildren). Handles in the deque are address-stable, which is
-// what keeps the const RapNode& API (root, findSmallestCover) valid
-// across growth.
+// allocChildren). Public RapNode handles are (arena, id) values minted
+// on demand, so growth never invalidates one.
+//
+// The Sums column is refreshed, not maintained: refreshSummaries()
+// recomputes it post-order in the walk that already follows every
+// merge pass, absorb and restore, and sets Arena.SumsFresh. addPoint
+// and absorb's union clear the bit before moving a counter, so the
+// update path gains no per-level store; a split after a forced merge
+// pass zeroes the Sums of the slots it brings to life, which keeps
+// the bit truthful. While the bit is clear, subtreeWeight falls back
+// to the recursive walk and the report walks derive subtree weights
+// from their own post-order recursion.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +32,7 @@
 #include <cmath>
 #include <limits>
 #include <new>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -44,7 +54,7 @@ void NodeArena::initRoot(unsigned RangeBits) {
   Counts.push_back(0);
   Navs.push_back(LeafNav);
   Widths.push_back(static_cast<uint8_t>(RangeBits));
-  Handles.push_back(RapNode(this, 0));
+  Sums.push_back(0);
 }
 
 uint32_t NodeArena::allocBlock(unsigned SlotLog2) {
@@ -58,24 +68,22 @@ uint32_t NodeArena::allocBlock(unsigned SlotLog2) {
   size_t NumSlots = size_t(1) << SlotLog2;
   size_t Old = Navs.size();
   assert(Old + NumSlots < InvalidIndex && "arena exceeds 32-bit node ids");
-  // Grow all four slabs plus the handle pool under a rollback guard:
-  // if any later growth throws, the earlier ones shrink back so the
-  // arena never exposes a half-grown slot range (shrinking never
-  // throws for these element types).
+  // Grow all five slabs under a rollback guard: if any later growth
+  // throws, the earlier ones shrink back so the arena never exposes a
+  // half-grown slot range (shrinking never throws for these element
+  // types).
   try {
     Los.resize(Old + NumSlots);
     Counts.resize(Old + NumSlots);
     Navs.resize(Old + NumSlots);
     Widths.resize(Old + NumSlots);
-    for (size_t I = Old; I != Old + NumSlots; ++I)
-      Handles.push_back(RapNode(this, static_cast<uint32_t>(I)));
+    Sums.resize(Old + NumSlots);
   } catch (...) {
     Los.resize(Old);
     Counts.resize(Old);
     Navs.resize(Old);
     Widths.resize(Old);
-    while (Handles.size() > Old)
-      Handles.pop_back();
+    Sums.resize(Old);
     throw;
   }
   return static_cast<uint32_t>(Old);
@@ -94,6 +102,7 @@ uint32_t NodeArena::allocChildren(uint32_t Parent, unsigned ChildBits,
     Counts[Child] = 0;
     Navs[Child] = InitNav;
     Widths[Child] = static_cast<uint8_t>(ChildBits);
+    Sums[Child] = 0;
   }
   Navs[Parent] = makeNav(First, ChildBits, SlotLog2);
   return First;
@@ -134,7 +143,7 @@ void NodeArena::killSubtree(uint32_t Node) noexcept {
   Counts[Node] = 0;
 }
 
-uint64_t NodeArena::subtreeWeight(uint32_t Node) const {
+uint64_t NodeArena::walkSubtreeWeight(uint32_t Node) const {
   uint64_t Total = Counts[Node];
   uint64_t Nav = Navs[Node];
   if (navIsLeaf(Nav))
@@ -144,7 +153,7 @@ uint64_t NodeArena::subtreeWeight(uint32_t Node) const {
   for (size_t Slot = 0; Slot != NumSlots; ++Slot) {
     uint32_t Child = First + static_cast<uint32_t>(Slot);
     if (!navIsDead(Navs[Child]))
-      Total = saturatingAdd(Total, subtreeWeight(Child));
+      Total = saturatingAdd(Total, walkSubtreeWeight(Child));
   }
   return Total;
 }
@@ -183,35 +192,42 @@ RapTree::RapTree(const RapConfig &TreeConfig) : Config(TreeConfig) {
     Fence.init(Config.RangeBits);
 }
 
-uint64_t RapTree::rebuildFenceWalk(uint32_t Node) {
+uint64_t RapTree::refreshWalk(uint32_t Node) {
   uint64_t Warm = 0;
-  if (Arena.Counts[Node] > 0) {
+  uint64_t Sum = Arena.Counts[Node];
+  if (Sum > 0) {
     Warm = 1;
     if (Node != 0 && Fence.enabled())
       Fence.markNode(Arena.Los[Node], Arena.Widths[Node]);
   }
   uint64_t Nav = Arena.Navs[Node];
-  if (NodeArena::navIsLeaf(Nav))
-    return Warm;
-  uint32_t First = NodeArena::navFirstChild(Nav);
-  unsigned NumSlots = 1u << NodeArena::navSlotLog2(Nav);
-  for (unsigned Slot = 0; Slot != NumSlots; ++Slot)
-    if (!NodeArena::navIsDead(Arena.Navs[First + Slot]))
-      Warm += rebuildFenceWalk(First + Slot);
+  if (!NodeArena::navIsLeaf(Nav)) {
+    uint32_t First = NodeArena::navFirstChild(Nav);
+    unsigned NumSlots = 1u << NodeArena::navSlotLog2(Nav);
+    for (unsigned Slot = 0; Slot != NumSlots; ++Slot) {
+      uint32_t Child = First + Slot;
+      if (NodeArena::navIsDead(Arena.Navs[Child]))
+        continue;
+      Warm += refreshWalk(Child);
+      Sum = saturatingAdd(Sum, Arena.Sums[Child]);
+    }
+  }
+  Arena.Sums[Node] = Sum;
   return Warm;
 }
 
-void RapTree::rebuildFence() {
-  // Re-derives both the bitmap and the warm-node count from the live
-  // counters. Required after any operation that moves counters
-  // wholesale (merge folds lift child weight onto possibly-cold
-  // parents; absorb and fromNodeSet write counters directly), and
-  // doubles as a precision reset: buckets whose weight folded into
-  // the root read cold again. One O(numNodes) walk, called only from
-  // paths that already walk the whole tree.
+void RapTree::refreshSummaries() {
+  // Re-derives the fence bitmap, the warm-node count and the subtree
+  // sum column from the live counters. Required after any operation
+  // that moves counters wholesale (merge folds lift child weight onto
+  // possibly-cold parents; absorb and fromNodeSet write counters
+  // directly), and doubles as a fence precision reset: buckets whose
+  // weight folded into the root read cold again. One O(numNodes)
+  // walk, called only from paths that already walk the whole tree.
   if (Fence.enabled())
     Fence.clear();
-  WarmNodes = rebuildFenceWalk(0);
+  WarmNodes = refreshWalk(0);
+  Arena.SumsFresh = true;
 }
 
 std::unique_ptr<RapTree> RapTree::fromNodeSet(
@@ -301,9 +317,9 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
   // A node set captured without a budget (or under a looser one) may
   // exceed this config's cap; restoring coarsens it under the cap.
   Tree->enforceNodeBudget();
-  // Snapshots never carry the fence (it is pure acceleration state);
-  // derive it from the restored counters.
-  Tree->rebuildFence();
+  // Snapshots never carry the fence or the sum column (both are pure
+  // acceleration state); derive them from the restored counters.
+  Tree->refreshSummaries();
   return Tree;
 }
 
@@ -328,8 +344,8 @@ uint32_t RapTree::descendIndex(uint64_t X) const {
   return Node;
 }
 
-const RapNode &RapTree::findSmallestCover(uint64_t X) const {
-  return *Arena.handle(descendIndex(X));
+RapNode RapTree::findSmallestCover(uint64_t X) const {
+  return RapNode(&Arena, descendIndex(X));
 }
 
 void RapTree::addPoint(uint64_t X, uint64_t Weight) {
@@ -342,6 +358,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   assert((Config.RangeBits == 64 || X < (uint64_t(1) << Config.RangeBits)) &&
          "event outside the configured universe");
   NumEvents = saturatingAdd(NumEvents, Weight);
+  Arena.SumsFresh = false; // A counter moves below; merges refresh.
 
   uint32_t Node = descendIndex(X);
   uint64_t OldCount = Arena.Counts[Node];
@@ -447,7 +464,7 @@ uint64_t RapTree::forcedMergePass() {
   ++Pressure.ForcedMergePasses;
   Pressure.ReclaimedNodes += Removed;
   Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Folded);
-  rebuildFence();
+  refreshSummaries();
   return Removed;
 }
 
@@ -550,6 +567,7 @@ void RapTree::splitNode(uint32_t Node) {
         continue;
       Arena.Navs[Child] = NodeArena::LeafNav;
       Arena.Counts[Child] = 0;
+      Arena.Sums[Child] = 0;
       ++NumNodes;
     }
   }
@@ -598,7 +616,7 @@ uint64_t RapTree::mergeWalk(uint32_t Node, double Threshold,
   return Total;
 }
 
-void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
+void RapTree::unionWith(uint32_t Mine, RapNode Theirs) {
   // Recursive structural union: Other's node counts land on the
   // equally-ranged node here, materializing missing children so no
   // precision recorded by the shard is lost at union time (the absorb
@@ -617,7 +635,7 @@ void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
           : NodeArena::navFirstChild(Nav);
   unsigned NumSlots = 1u << SlotLog2;
   for (unsigned Slot = 0; Slot != NumSlots; ++Slot) {
-    const RapNode *TheirChild = Theirs.child(Slot);
+    std::optional<RapNode> TheirChild = Theirs.child(Slot);
     if (!TheirChild)
       continue;
     uint32_t Child = First + Slot;
@@ -634,6 +652,7 @@ void RapTree::absorb(const RapTree &Other) {
   assert(Config.RangeBits == Other.Config.RangeBits &&
          Config.BranchFactor == Other.Config.BranchFactor &&
          "absorb requires identical tree geometry");
+  Arena.SumsFresh = false; // unionWith moves counters.
   unionWith(0, Other.root());
   NumEvents = saturatingAdd(NumEvents, Other.NumEvents);
   MaxNumNodes = std::max(MaxNumNodes, NumNodes);
@@ -648,8 +667,8 @@ void RapTree::absorb(const RapTree &Other) {
   // coarsen back under it.
   enforceNodeBudget();
   // unionWith wrote counters directly; the merge/budget passes above
-  // may not have run, so re-derive the fence unconditionally.
-  rebuildFence();
+  // may not have run, so re-derive the summaries unconditionally.
+  refreshSummaries();
 }
 
 uint64_t RapTree::mergeNow() {
@@ -659,7 +678,7 @@ uint64_t RapTree::mergeNow() {
   ++NumMergePasses;
   NumMergedNodes += Removed;
   MergeEventCounts.push_back(NumEvents);
-  rebuildFence();
+  refreshSummaries();
   return Removed;
 }
 
@@ -676,16 +695,21 @@ void RapTree::scheduleAfterMerge() {
   NextMergeAt = std::max<uint64_t>(saturatingAdd(NumEvents, 1), NextInt);
 }
 
-uint64_t RapTree::arenaBytes() const {
-  uint64_t SlabBytes =
-      static_cast<uint64_t>(Arena.Los.capacity()) *
-      (sizeof(uint64_t) * 3 + sizeof(uint8_t));
-  uint64_t HandleBytes =
-      static_cast<uint64_t>(Arena.Handles.size()) * sizeof(RapNode);
-  return SlabBytes + HandleBytes;
+/// Bytes a vector holds allocated, whether or not they are in use.
+template <typename T> static uint64_t slabBytes(const std::vector<T> &V) {
+  return static_cast<uint64_t>(V.capacity()) * sizeof(T);
 }
 
-uint64_t RapTree::estimateWalk(const RapNode &Node, uint64_t Lo,
+uint64_t RapTree::arenaBytes() const {
+  uint64_t Bytes = slabBytes(Arena.Los) + slabBytes(Arena.Counts) +
+                   slabBytes(Arena.Navs) + slabBytes(Arena.Widths) +
+                   slabBytes(Arena.Sums) + slabBytes(Arena.FreeBlocks);
+  for (const std::vector<uint32_t> &List : Arena.FreeBlocks)
+    Bytes += slabBytes(List);
+  return Bytes;
+}
+
+uint64_t RapTree::estimateWalk(RapNode Node, uint64_t Lo,
                                uint64_t Hi) const {
   if (Node.lo() > Hi || Node.hi() < Lo)
     return 0;
@@ -696,7 +720,7 @@ uint64_t RapTree::estimateWalk(const RapNode &Node, uint64_t Lo,
   // This keeps the estimate a guaranteed lower bound.
   uint64_t Total = 0;
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       Total = saturatingAdd(Total, estimateWalk(*Child, Lo, Hi));
   return Total;
 }
@@ -721,14 +745,14 @@ uint64_t RapTree::estimateRange(uint64_t Lo, uint64_t Hi) const {
 
 /// Upper-bound companion of estimateWalk: every counter on a node
 /// intersecting the query may hold in-range events.
-static uint64_t upperWalk(const RapNode &Node, uint64_t Lo, uint64_t Hi) {
+static uint64_t upperWalk(RapNode Node, uint64_t Lo, uint64_t Hi) {
   if (Node.lo() > Hi || Node.hi() < Lo)
     return 0;
   if (Lo <= Node.lo() && Node.hi() <= Hi)
     return Node.subtreeWeight();
   uint64_t Total = Node.count(); // straddling: possibly in range
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       Total = saturatingAdd(Total, upperWalk(*Child, Lo, Hi));
   return Total;
 }
@@ -741,11 +765,10 @@ static uint64_t upperWalk(const RapNode &Node, uint64_t Lo, uint64_t Hi) {
 /// extends past one end), so the walk follows just the two endpoint
 /// ancestor chains — O(depth) instead of a full overlap walk, and
 /// bit-identical to upperWalk by the argument above.
-static uint64_t coldUpperWalk(const RapNode &Node, uint64_t Lo,
-                              uint64_t Hi) {
+static uint64_t coldUpperWalk(RapNode Node, uint64_t Lo, uint64_t Hi) {
   uint64_t Total = Node.count();
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot)) {
+    if (std::optional<RapNode> Child = Node.child(Slot)) {
       bool HasLo = Child->lo() <= Lo && Lo <= Child->hi();
       bool HasHi = Child->lo() <= Hi && Hi <= Child->hi();
       if (HasLo || HasHi)
@@ -773,25 +796,34 @@ RapTree::RangeBounds RapTree::estimateRangeBounds(uint64_t Lo,
   return Bounds;
 }
 
-uint64_t RapTree::hotWalk(const RapNode &Node, double Threshold,
-                          unsigned Depth, std::vector<HotRange> &Out) const {
+uint64_t RapTree::hotWalk(RapNode Node, double Threshold, unsigned Depth,
+                          std::vector<HotRange> &Out,
+                          uint64_t &PassUp) const {
   // Preorder output position is reserved before visiting children so
-  // ancestors precede descendants; we patch the entry afterwards.
+  // ancestors precede descendants; we patch the entry afterwards. The
+  // return value is the subtree weight, summed post-order from the
+  // children's returns so no node is walked twice; PassUp receives the
+  // weight this subtree contributes to its parent's exclusive weight.
   size_t MyIndex = Out.size();
   Out.emplace_back();
 
   uint64_t Exclusive = Node.count();
+  uint64_t Subtree = Node.count();
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
-      Exclusive =
-          saturatingAdd(Exclusive, hotWalk(*Child, Threshold, Depth + 1, Out));
+    if (std::optional<RapNode> Child = Node.child(Slot)) {
+      uint64_t ChildPassUp = 0;
+      Subtree = saturatingAdd(
+          Subtree, hotWalk(*Child, Threshold, Depth + 1, Out, ChildPassUp));
+      Exclusive = saturatingAdd(Exclusive, ChildPassUp);
+    }
 
   bool IsHot = static_cast<double>(Exclusive) >= Threshold;
   if (!IsHot) {
     // Not hot: drop the reserved placeholder. Hot descendants appended
     // after it keep their relative (preorder) order.
     Out.erase(Out.begin() + static_cast<std::ptrdiff_t>(MyIndex));
-    return Exclusive;
+    PassUp = Exclusive;
+    return Subtree;
   }
 
   HotRange &H = Out[MyIndex];
@@ -800,46 +832,54 @@ uint64_t RapTree::hotWalk(const RapNode &Node, double Threshold,
   H.WidthBits = Node.widthBits();
   H.Depth = Depth;
   H.ExclusiveWeight = Exclusive;
-  H.SubtreeWeight = Node.subtreeWeight();
-  return 0; // Hot weight is not propagated to the parent (Sec 4.1).
+  H.SubtreeWeight = Subtree;
+  PassUp = 0; // Hot weight is not propagated to the parent (Sec 4.1).
+  return Subtree;
 }
 
 std::vector<HotRange> RapTree::extractHotRanges(double Phi) const {
   assert(Phi > 0.0 && Phi <= 1.0 && "hotness fraction out of range");
   std::vector<HotRange> Out;
   double Threshold = Phi * static_cast<double>(NumEvents);
-  hotWalk(root(), Threshold, 0, Out);
+  uint64_t PassUp = 0;
+  hotWalk(root(), Threshold, 0, Out, PassUp);
   return Out;
 }
 
-void RapTree::topKWalk(const RapNode &Node, unsigned Depth,
-                       uint64_t AncestorOwn, bool PruneCold,
-                       std::vector<TopKRange> &Out) const {
+uint64_t RapTree::topKWalk(RapNode Node, unsigned Depth, uint64_t AncestorOwn,
+                           bool PruneCold, std::vector<TopKRange> &Out) const {
   // A fence-cold non-root subtree holds only zero counters: every
   // entry it would emit has Retained == 0 and can never displace the
-  // K positive-retained winners the caller established exist. Skip
-  // it before the subtreeWeight walk below, which is where topK's
-  // time actually goes. Warm nodes mark their own buckets, so no
-  // warm node can hide under a pruned ancestor.
+  // K positive-retained winners the caller established exist, and
+  // its weight is 0. Warm nodes mark their own buckets, so no warm
+  // node can hide under a pruned ancestor.
   if (PruneCold && Depth != 0 && Fence.provablyCold(Node.lo(), Node.hi()))
-    return;
+    return 0;
+  // Reserve this node's entry, visit the children, then patch in the
+  // subtree weight they returned: one post-order pass, no per-node
+  // subtree walk. Returns the subtree weight.
+  size_t MyIndex = Out.size();
   TopKRange R;
   R.Lo = Node.lo();
   R.Hi = Node.hi();
   R.WidthBits = Node.widthBits();
   R.Depth = Depth;
   R.Retained = Node.count();
+  Out.push_back(R);
+  uint64_t Subtree = Node.count();
+  uint64_t ChildAncestorOwn = saturatingAdd(AncestorOwn, Node.count());
+  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
+    if (std::optional<RapNode> Child = Node.child(Slot))
+      Subtree = saturatingAdd(
+          Subtree,
+          topKWalk(*Child, Depth + 1, ChildAncestorOwn, PruneCold, Out));
   // Subtree weight is exactly estimateRange(Lo, Hi) for a node-aligned
   // range (a provable lower bound); the matching upper bound charges
   // every ancestor's own counter, since those events may fall anywhere
   // inside the ancestor's wider range.
-  R.LowerWeight = Node.subtreeWeight();
-  R.UpperWeight = saturatingAdd(R.LowerWeight, AncestorOwn);
-  Out.push_back(R);
-  uint64_t ChildAncestorOwn = saturatingAdd(AncestorOwn, Node.count());
-  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
-      topKWalk(*Child, Depth + 1, ChildAncestorOwn, PruneCold, Out);
+  Out[MyIndex].LowerWeight = Subtree;
+  Out[MyIndex].UpperWeight = saturatingAdd(Subtree, AncestorOwn);
+  return Subtree;
 }
 
 std::vector<TopKRange> RapTree::topK(size_t K) const {
@@ -874,37 +914,50 @@ std::vector<TopKRange> RapTree::topK(size_t K) const {
   return Out;
 }
 
-/// Prints one node line: hex range, own count, subtree weight, percent.
-static void dumpNode(std::ostream &OS, const RapNode &Node, unsigned Depth,
-                     uint64_t NumEvents) {
-  for (unsigned I = 0; I != Depth; ++I)
-    OS << "  ";
-  char Buffer[128];
-  double Percent =
-      NumEvents == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(Node.subtreeWeight()) /
-                static_cast<double>(NumEvents);
-  std::snprintf(Buffer, sizeof(Buffer),
-                "[%llx, %llx] count=%llu subtree=%llu (%.1f%%)",
-                static_cast<unsigned long long>(Node.lo()),
-                static_cast<unsigned long long>(Node.hi()),
-                static_cast<unsigned long long>(Node.count()),
-                static_cast<unsigned long long>(Node.subtreeWeight()),
-                Percent);
-  OS << Buffer << '\n';
+namespace {
+
+/// One line of dump(): a node, its depth, and its subtree weight.
+struct DumpLine {
+  RapNode Node;
+  unsigned Depth;
+  uint64_t Subtree;
+};
+
+/// Collects dump lines in preorder, patching each subtree weight
+/// post-order from the children's returns. Returns the subtree weight.
+uint64_t dumpWalk(RapNode Node, unsigned Depth, std::vector<DumpLine> &Out) {
+  size_t MyIndex = Out.size();
+  Out.push_back({Node, Depth, 0});
+  uint64_t Subtree = Node.count();
+  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
+    if (std::optional<RapNode> Child = Node.child(Slot))
+      Subtree = saturatingAdd(Subtree, dumpWalk(*Child, Depth + 1, Out));
+  Out[MyIndex].Subtree = Subtree;
+  return Subtree;
 }
 
-static void dumpWalk(std::ostream &OS, const RapNode &Node, unsigned Depth,
-                     uint64_t NumEvents) {
-  dumpNode(OS, Node, Depth, NumEvents);
-  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
-      dumpWalk(OS, *Child, Depth + 1, NumEvents);
-}
+} // namespace
 
 void RapTree::dump(std::ostream &OS) const {
-  dumpWalk(OS, root(), 0, NumEvents);
+  std::vector<DumpLine> Lines;
+  Lines.reserve(NumNodes);
+  dumpWalk(root(), 0, Lines);
+  for (const DumpLine &L : Lines) {
+    // One line per node: hex range, own count, subtree weight, percent.
+    for (unsigned I = 0; I != L.Depth; ++I)
+      OS << "  ";
+    char Buffer[128];
+    double Percent = NumEvents == 0 ? 0.0
+                                    : 100.0 * static_cast<double>(L.Subtree) /
+                                          static_cast<double>(NumEvents);
+    std::snprintf(Buffer, sizeof(Buffer),
+                  "[%llx, %llx] count=%llu subtree=%llu (%.1f%%)",
+                  static_cast<unsigned long long>(L.Node.lo()),
+                  static_cast<unsigned long long>(L.Node.hi()),
+                  static_cast<unsigned long long>(L.Node.count()),
+                  static_cast<unsigned long long>(L.Subtree), Percent);
+    OS << Buffer << '\n';
+  }
 }
 
 void RapTree::dumpHot(std::ostream &OS, double Phi) const {

@@ -161,10 +161,12 @@ public:
   /// (Sec 4.2), i.e. bytes = 16 * numNodes().
   uint64_t memoryBytes() const { return NumNodes * BytesPerNode; }
 
-  /// Actual bytes of arena storage backing the tree (all slab vectors
-  /// plus the handle pool), including slots on free lists. The
-  /// software implementation's real footprint, as opposed to the
-  /// paper's 128-bit hardware budget of memoryBytes().
+  /// Actual bytes of arena storage backing the tree: each slab's own
+  /// capacity times its element size (the four node slabs, the
+  /// subtree-sum column and the free-block lists), so capacity slack
+  /// and slots parked on free lists count. The software
+  /// implementation's real footprint, as opposed to the paper's
+  /// 128-bit hardware budget of memoryBytes().
   uint64_t arenaBytes() const;
 
   /// Number of split operations performed.
@@ -209,11 +211,19 @@ public:
     return Config.splitThreshold(NumEvents);
   }
 
-  /// Root node (covers the entire universe).
-  const RapNode &root() const { return Arena.Handles.front(); }
+  /// Root node (covers the entire universe). A value handle minted on
+  /// each call; the arena keeps no handle storage.
+  RapNode root() const { return RapNode(&Arena, 0); }
 
-  /// The smallest existing node covering \p X (never null).
-  const RapNode &findSmallestCover(uint64_t X) const;
+  /// The smallest existing node covering \p X.
+  RapNode findSmallestCover(uint64_t X) const;
+
+  /// True while every node's subtree weight is cached in the arena's
+  /// sum column, i.e. since the last merge pass, absorb or restore
+  /// with no update after it. Range queries and subtreeWeight() then
+  /// cost O(b * depth) instead of a walk of every covered subtree.
+  /// Exposed for the invariant auditor and tests.
+  bool subtreeSumsFresh() const { return Arena.SumsFresh; }
 
   /// Lower-bound estimate of the number of events in [Lo, Hi]
   /// (inclusive). Exact node-aligned queries return the subtree
@@ -322,15 +332,16 @@ private:
   void enforceNodeBudget();
   uint64_t mergeWalk(uint32_t Node, double Threshold, uint64_t &Removed,
                      uint64_t *FoldedWeight = nullptr);
-  void unionWith(uint32_t Mine, const RapNode &Theirs);
-  uint64_t hotWalk(const RapNode &Node, double Threshold, unsigned Depth,
-                   std::vector<HotRange> &Out) const;
-  void topKWalk(const RapNode &Node, unsigned Depth, uint64_t AncestorOwn,
-                bool PruneCold, std::vector<TopKRange> &Out) const;
-  uint64_t estimateWalk(const RapNode &Node, uint64_t Lo, uint64_t Hi) const;
+  void unionWith(uint32_t Mine, RapNode Theirs);
+  uint64_t hotWalk(RapNode Node, double Threshold, unsigned Depth,
+                   std::vector<HotRange> &Out,
+                   uint64_t &ExclusiveWeight) const;
+  uint64_t topKWalk(RapNode Node, unsigned Depth, uint64_t AncestorOwn,
+                    bool PruneCold, std::vector<TopKRange> &Out) const;
+  uint64_t estimateWalk(RapNode Node, uint64_t Lo, uint64_t Hi) const;
   void scheduleAfterMerge();
-  void rebuildFence();
-  uint64_t rebuildFenceWalk(uint32_t Node);
+  void refreshSummaries();
+  uint64_t refreshWalk(uint32_t Node);
 
   RapConfig Config;
   detail::NodeArena Arena;
@@ -348,7 +359,7 @@ private:
   std::vector<uint64_t> MergeEventCounts;
   TreePressure Pressure;
   /// Cold-query filter (disabled unless Config.EnableRangeFence).
-  /// Never serialized: rebuilt from counters wherever they move.
+  /// Never serialized: rebuilt from counters by refreshSummaries().
   RangeFence Fence;
   /// Count of positive own counters; see numWarmNodes().
   uint64_t WarmNodes = 0;

@@ -309,6 +309,76 @@ FuzzEpisode rap::deriveFenceEpisode(uint64_t MasterSeed, uint64_t Index) {
 
 namespace {
 
+/// Appends an \p Id violation for every answer on which trees \p A
+/// and \p B (named \p NameA and \p NameB in the report) differ:
+/// estimates and brackets over 32 random ranges drawn from \p R, topK
+/// below, at and past the node count (so fence-pruned and full walks
+/// are both compared), and hot ranges at two fractions.
+void compareAnswers(const RapTree &A, const char *NameA, const RapTree &B,
+                    const char *NameB, Rng &R, uint64_t UniverseHi,
+                    const char *Id, std::vector<InvariantViolation> &Out) {
+  char Detail[192];
+  for (unsigned Q = 0; Q != 32; ++Q) {
+    uint64_t Lo = R.next() & UniverseHi;
+    uint64_t Hi = Lo + (R.next() & (UniverseHi - Lo));
+    uint64_t EstA = A.estimateRange(Lo, Hi);
+    uint64_t EstB = B.estimateRange(Lo, Hi);
+    if (EstA != EstB) {
+      std::snprintf(Detail, sizeof(Detail),
+                    "[%" PRIx64 ", %" PRIx64 "] %s estimate %" PRIu64
+                    " != %s %" PRIu64,
+                    Lo, Hi, NameA, EstA, NameB, EstB);
+      Out.push_back({Id, Detail});
+    }
+    RapTree::RangeBounds BA = A.estimateRangeBounds(Lo, Hi);
+    RapTree::RangeBounds BB = B.estimateRangeBounds(Lo, Hi);
+    if (BA.Lower != BB.Lower || BA.Upper != BB.Upper) {
+      std::snprintf(Detail, sizeof(Detail),
+                    "[%" PRIx64 ", %" PRIx64 "] %s bracket [%" PRIu64
+                    ", %" PRIu64 "] != %s [%" PRIu64 ", %" PRIu64 "]",
+                    Lo, Hi, NameA, BA.Lower, BA.Upper, NameB, BB.Lower,
+                    BB.Upper);
+      Out.push_back({Id, Detail});
+    }
+  }
+  for (size_t K :
+       {size_t(1), size_t(5), static_cast<size_t>(A.numNodes()) + 3}) {
+    std::vector<TopKRange> TopA = A.topK(K);
+    std::vector<TopKRange> TopB = B.topK(K);
+    bool Same = TopA.size() == TopB.size();
+    for (size_t I = 0; Same && I != TopA.size(); ++I) {
+      const TopKRange &X = TopA[I], &Y = TopB[I];
+      Same = X.Lo == Y.Lo && X.Hi == Y.Hi && X.WidthBits == Y.WidthBits &&
+             X.Depth == Y.Depth && X.Retained == Y.Retained &&
+             X.LowerWeight == Y.LowerWeight &&
+             X.UpperWeight == Y.UpperWeight;
+    }
+    if (!Same) {
+      std::snprintf(Detail, sizeof(Detail),
+                    "topK(%zu) differs between %s and %s trees", K, NameA,
+                    NameB);
+      Out.push_back({Id, Detail});
+    }
+  }
+  for (double Phi : {0.02, 0.2}) {
+    std::vector<HotRange> HotA = A.extractHotRanges(Phi);
+    std::vector<HotRange> HotB = B.extractHotRanges(Phi);
+    bool Same = HotA.size() == HotB.size();
+    for (size_t I = 0; Same && I != HotA.size(); ++I) {
+      const HotRange &X = HotA[I], &Y = HotB[I];
+      Same = X.Lo == Y.Lo && X.Hi == Y.Hi && X.Depth == Y.Depth &&
+             X.ExclusiveWeight == Y.ExclusiveWeight &&
+             X.SubtreeWeight == Y.SubtreeWeight;
+    }
+    if (!Same) {
+      std::snprintf(Detail, sizeof(Detail),
+                    "hot ranges at %.2f differ between %s and %s trees", Phi,
+                    NameA, NameB);
+      Out.push_back({Id, Detail});
+    }
+  }
+}
+
 /// End-of-episode snapshot robustness battery: round-trips the tree
 /// through the binary format, then verifies that every seeded
 /// one-byte corruption and every truncation of the byte stream is
@@ -397,6 +467,15 @@ FuzzReport rap::runFuzzEpisode(const FuzzEpisode &Episode, uint64_t NumEvents,
                       Episode.Config.RangeBits);
   Rng QueryRng(Episode.StreamSeed ^ 0x5bf03635aca1fed5ULL);
 
+  // Arena episodes also restore each checkpoint's snapshot, whose
+  // answers come from the subtree-sum column, and compare it with the
+  // live tree, whose column the updates have just made stale.
+  const bool RestoreCompare = Episode.CombineCapacity != 0;
+  Rng RestoreRng(Episode.StreamSeed ^ 0x1f83d9abfb41bd6bULL);
+  const uint64_t UniverseHi =
+      Episode.Config.RangeBits == 0 ? 0
+                                    : lowBitMask(Episode.Config.RangeBits);
+
   FuzzReport Report;
   auto CheckPoint = [&](uint64_t EventsFed) {
     Oracle.checkNow(QueryRng);
@@ -405,6 +484,18 @@ FuzzReport rap::runFuzzEpisode(const FuzzEpisode &Episode, uint64_t NumEvents,
         TreeInvariants::audit(Oracle.tree());
     Report.Violations.insert(Report.Violations.end(), Structural.begin(),
                              Structural.end());
+    if (RestoreCompare) {
+      std::unique_ptr<RapTree> Restored =
+          ProfileSnapshot::capture(Oracle.tree()).restore();
+      if (!Restored)
+        Report.Violations.push_back(
+            {"sum-column-equivalence", "snapshot of the live tree failed "
+                                       "to restore"});
+      else
+        compareAnswers(Oracle.tree(), "live", *Restored, "restored",
+                       RestoreRng, UniverseHi, "sum-column-equivalence",
+                       Report.Violations);
+    }
     Report.EventsFed = EventsFed;
     return Report.Violations.empty();
   };
@@ -627,62 +718,20 @@ FuzzReport rap::runFenceFuzzEpisode(const FuzzEpisode &Episode,
       Out.push_back({"fence-equivalence", Detail});
       return; // structurally diverged; range diffs would just cascade
     }
+    compareAnswers(On, "fenced", OffTree, "unfenced", CrossRng, UniverseHi,
+                   "fence-equivalence", Out);
+    // Soundness, checked against the tree that never consults the
+    // fence: provably cold must mean literally zero retained weight.
     for (unsigned Q = 0; Q != 32; ++Q) {
       uint64_t Lo = CrossRng.next() & UniverseHi;
       uint64_t Hi = Lo + (CrossRng.next() & (UniverseHi - Lo));
-      uint64_t OnEst = On.estimateRange(Lo, Hi);
       uint64_t OffEst = OffTree.estimateRange(Lo, Hi);
-      if (OnEst != OffEst) {
-        std::snprintf(Detail, sizeof(Detail),
-                      "[%" PRIx64 ", %" PRIx64 "] fenced estimate %" PRIu64
-                      " != unfenced %" PRIu64,
-                      Lo, Hi, OnEst, OffEst);
-        Out.push_back({"fence-equivalence", Detail});
-      }
-      RapTree::RangeBounds OnB = On.estimateRangeBounds(Lo, Hi);
-      RapTree::RangeBounds OffB = OffTree.estimateRangeBounds(Lo, Hi);
-      if (OnB.Lower != OffB.Lower || OnB.Upper != OffB.Upper) {
-        std::snprintf(Detail, sizeof(Detail),
-                      "[%" PRIx64 ", %" PRIx64 "] fenced bracket [%" PRIu64
-                      ", %" PRIu64 "] != unfenced [%" PRIu64 ", %" PRIu64 "]",
-                      Lo, Hi, OnB.Lower, OnB.Upper, OffB.Lower, OffB.Upper);
-        Out.push_back({"fence-equivalence", Detail});
-      }
-      // Soundness, checked against the tree that never consults the
-      // fence: provably cold must mean literally zero retained weight.
       if (On.rangeProvablyCold(Lo, Hi) && OffEst != 0) {
         std::snprintf(Detail, sizeof(Detail),
                       "[%" PRIx64 ", %" PRIx64 "] provably cold but the "
                       "unfenced walk retains %" PRIu64,
                       Lo, Hi, OffEst);
         Out.push_back({"fence-soundness", Detail});
-      }
-    }
-    // topK below, at, and above the warm-node prune threshold, so both
-    // the pruned and full-walk regimes are compared.
-    for (size_t K : {size_t(1), size_t(5),
-                     static_cast<size_t>(On.numNodes()) + 3}) {
-      std::vector<TopKRange> OnTop = On.topK(K);
-      std::vector<TopKRange> OffTop = OffTree.topK(K);
-      if (OnTop.size() != OffTop.size()) {
-        std::snprintf(Detail, sizeof(Detail),
-                      "topK(%zu): fenced returned %zu entries, unfenced %zu",
-                      K, OnTop.size(), OffTop.size());
-        Out.push_back({"fence-equivalence", Detail});
-        continue;
-      }
-      for (size_t I = 0; I != OnTop.size(); ++I) {
-        const TopKRange &A = OnTop[I], &B = OffTop[I];
-        if (A.Lo != B.Lo || A.Hi != B.Hi || A.WidthBits != B.WidthBits ||
-            A.Retained != B.Retained || A.LowerWeight != B.LowerWeight ||
-            A.UpperWeight != B.UpperWeight) {
-          std::snprintf(Detail, sizeof(Detail),
-                        "topK(%zu)[%zu] differs between fenced and "
-                        "unfenced trees",
-                        K, I);
-          Out.push_back({"fence-equivalence", Detail});
-          break;
-        }
       }
     }
   };

@@ -108,7 +108,9 @@ struct FuzzEpisode {
 
   /// Stage-0 combining buffer capacity for the tree-side stream
   /// (0 = feed the tree directly). Nonzero episodes exercise the
-  /// combining buffer + arena descent path end to end.
+  /// combining buffer + arena descent path end to end, and compare
+  /// the live tree with its snapshot-restored copy at every
+  /// checkpoint.
   uint64_t CombineCapacity = 0;
 
   /// When nonzero, the arena-allocation failpoint is armed to throw

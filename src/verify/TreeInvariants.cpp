@@ -47,14 +47,18 @@ unsigned childWidthBits(unsigned ParentWidth, unsigned BitsPerLevel) {
 
 struct WalkStats {
   uint64_t Nodes = 0;
-  uint64_t Weight = 0;
 };
 
-/// Recursive structural walk of a live tree.
-void walk(const RapNode &Node, const RapConfig &Config, Report &R,
-          WalkStats &Stats) {
+uint64_t walkChildren(const RapNode &Node, const RapConfig &Config,
+                      bool SumsFresh, Report &R, WalkStats &Stats);
+
+/// Recursive structural walk of a live tree. Returns the subtree
+/// weight summed from the counters by this walk itself; when
+/// \p SumsFresh, every node's cached subtreeWeight() must equal it.
+uint64_t walk(const RapNode &Node, const RapConfig &Config, bool SumsFresh,
+              Report &R, WalkStats &Stats) {
   ++Stats.Nodes;
-  Stats.Weight = saturatingAdd(Stats.Weight, Node.count());
+  uint64_t Subtree = Node.count();
 
   uint64_t Width = Node.widthBits() >= 64
                        ? 0
@@ -68,9 +72,21 @@ void walk(const RapNode &Node, const RapConfig &Config, Report &R,
            "node lo %" PRIx64 " not aligned to its %u-bit width", Node.lo(),
            Node.widthBits());
 
-  if (!Node.hasChildren())
-    return;
+  if (Node.hasChildren())
+    Subtree = saturatingAdd(Subtree, walkChildren(Node, Config, SumsFresh,
+                                                  R, Stats));
+  if (SumsFresh && Node.subtreeWeight() != Subtree)
+    R.fail("subtree-sum-column",
+           "node [%" PRIx64 ", width %u] caches subtree weight %" PRIu64
+           " but its counters sum to %" PRIu64,
+           Node.lo(), Node.widthBits(), Node.subtreeWeight(), Subtree);
+  return Subtree;
+}
 
+/// Checks the child geometry of \p Node, walks every live child and
+/// returns their summed subtree weights.
+uint64_t walkChildren(const RapNode &Node, const RapConfig &Config,
+                      bool SumsFresh, Report &R, WalkStats &Stats) {
   unsigned BitsPerLevel = Config.bitsPerLevel();
   unsigned ChildBits = childWidthBits(Node.widthBits(), BitsPerLevel);
   unsigned ExpectedSlots = 1u << (Node.widthBits() - ChildBits);
@@ -80,8 +96,9 @@ void walk(const RapNode &Node, const RapConfig &Config, Report &R,
            Node.lo(), Node.widthBits(), Node.numChildSlots(), ExpectedSlots);
 
   bool AnyChild = false;
+  uint64_t Weight = 0;
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot) {
-    const RapNode *Child = Node.child(Slot);
+    std::optional<RapNode> Child = Node.child(Slot);
     if (!Child)
       continue;
     AnyChild = true;
@@ -98,13 +115,14 @@ void walk(const RapNode &Node, const RapConfig &Config, Report &R,
       R.fail("child-geometry",
              "child in slot %u has lo %" PRIx64 ", expected %" PRIx64, Slot,
              Child->lo(), ExpectedLo);
-    walk(*Child, Config, R, Stats);
+    Weight = saturatingAdd(Weight, walk(*Child, Config, SumsFresh, R, Stats));
   }
   if (!AnyChild)
     R.fail("child-geometry",
            "node [%" PRIx64 "] keeps an empty child array (all slots "
            "merged away must clear it)",
            Node.lo());
+  return Weight;
 }
 
 } // namespace
@@ -121,7 +139,7 @@ std::vector<InvariantViolation> TreeInvariants::audit(const RapTree &Tree) {
            Tree.root().lo(), Tree.root().widthBits(), Config.RangeBits);
 
   WalkStats Stats;
-  walk(Tree.root(), Config, R, Stats);
+  walk(Tree.root(), Config, Tree.subtreeSumsFresh(), R, Stats);
 
   // Conservation: every unit of stream weight is on exactly one
   // counter (weights saturate at 2^64-1, as does numEvents).
@@ -314,7 +332,7 @@ void OnlineAuditor::addPoint(uint64_t X, uint64_t Weight) {
   Report R(Violations);
   const RapConfig &Config = Tree.config();
 
-  const RapNode &Before = Tree.findSmallestCover(X);
+  RapNode Before = Tree.findSmallestCover(X);
   const uint64_t CountBefore = Before.count();
   const unsigned WidthBefore = Before.widthBits();
   const bool Unit = Before.isUnitRange();
@@ -445,7 +463,7 @@ void OnlineAuditor::addPoint(uint64_t X, uint64_t Weight) {
   // node into an ancestor first, so the post-split cover may land at
   // the pre-update width; skip the refinement claim in that case.
   if (MustSplit && SplitDelta == 1 && MergeDelta == 0 && ForcedDelta == 0) {
-    const RapNode &After = Tree.findSmallestCover(X);
+    RapNode After = Tree.findSmallestCover(X);
     if (After.widthBits() >= WidthBefore)
       R.fail("split-threshold",
              "split did not refine the landing range (width %u -> %u)",

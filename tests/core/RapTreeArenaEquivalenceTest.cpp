@@ -19,17 +19,27 @@
 /// saturation, disabled merges, stage-0 combined delivery, and the
 /// serialization round-trip.
 ///
+/// The same sweep and corners also pin the subtree-sum column: a live
+/// tree that has just taken updates answers from recursive walks (its
+/// column is stale), while its snapshot-restored copy answers from the
+/// column. Every range estimate, bracket, top-k report and hot-range
+/// extraction must agree bit for bit.
+///
 //===----------------------------------------------------------------------===//
 
 #include "SweepSampler.h"
 
 #include "core/RapTree.h"
+#include "core/Serialization.h"
 #include "core/StageZeroBuffer.h"
 #include "verify/ReferenceRapTree.h"
+#include "verify/TreeInvariants.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 using namespace rap;
@@ -46,7 +56,7 @@ void collectPreorder(const RapNode &Node, std::vector<NodeTriple> &Out) {
   Out.emplace_back(Node.lo(), static_cast<uint8_t>(Node.widthBits()),
                    Node.count());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectPreorder(*Child, Out);
 }
 
@@ -76,6 +86,84 @@ void expectEquivalent(const RapTree &Arena, const ReferenceRapTree &Legacy,
         << std::get<0>(LegacyNodes[I]) << " width "
         << unsigned(std::get<1>(LegacyNodes[I])) << " count "
         << std::get<2>(LegacyNodes[I]) << ")";
+}
+
+void expectSameTopK(const std::vector<TopKRange> &A,
+                    const std::vector<TopKRange> &B,
+                    const std::string &Context) {
+  ASSERT_EQ(A.size(), B.size()) << Context;
+  for (size_t I = 0; I != A.size(); ++I) {
+    EXPECT_EQ(A[I].Lo, B[I].Lo) << Context << " entry " << I;
+    EXPECT_EQ(A[I].Hi, B[I].Hi) << Context << " entry " << I;
+    EXPECT_EQ(A[I].WidthBits, B[I].WidthBits) << Context << " entry " << I;
+    EXPECT_EQ(A[I].Depth, B[I].Depth) << Context << " entry " << I;
+    EXPECT_EQ(A[I].Retained, B[I].Retained) << Context << " entry " << I;
+    EXPECT_EQ(A[I].LowerWeight, B[I].LowerWeight) << Context << " entry " << I;
+    EXPECT_EQ(A[I].UpperWeight, B[I].UpperWeight) << Context << " entry " << I;
+  }
+}
+
+void expectSameHot(const std::vector<HotRange> &A,
+                   const std::vector<HotRange> &B,
+                   const std::string &Context) {
+  ASSERT_EQ(A.size(), B.size()) << Context;
+  for (size_t I = 0; I != A.size(); ++I) {
+    EXPECT_EQ(A[I].Lo, B[I].Lo) << Context << " entry " << I;
+    EXPECT_EQ(A[I].Hi, B[I].Hi) << Context << " entry " << I;
+    EXPECT_EQ(A[I].WidthBits, B[I].WidthBits) << Context << " entry " << I;
+    EXPECT_EQ(A[I].Depth, B[I].Depth) << Context << " entry " << I;
+    EXPECT_EQ(A[I].ExclusiveWeight, B[I].ExclusiveWeight)
+        << Context << " entry " << I;
+    EXPECT_EQ(A[I].SubtreeWeight, B[I].SubtreeWeight)
+        << Context << " entry " << I;
+  }
+}
+
+/// Restores \p Live from its snapshot — a copy that answers from the
+/// subtree-sum column — and checks both trees give bit-identical
+/// answers: random and node-aligned range estimates and brackets,
+/// top-k reports at several K, and hot ranges at several fractions.
+void expectRestoredAnswersMatch(const RapTree &Live, uint64_t QuerySeed,
+                                const std::string &Context) {
+  std::unique_ptr<RapTree> Fresh = ProfileSnapshot::capture(Live).restore();
+  ASSERT_NE(Fresh, nullptr) << Context;
+  ASSERT_TRUE(Fresh->subtreeSumsFresh()) << Context;
+  // Only the column's own invariant: at the saturation corner the
+  // merge schedule pins to the sentinel, which the audit also flags.
+  for (const InvariantViolation &V : TreeInvariants::audit(*Fresh))
+    EXPECT_NE(V.Invariant, "subtree-sum-column") << Context << ": " << V.Detail;
+
+  unsigned Bits = Live.config().RangeBits;
+  uint64_t UniverseHi = Bits == 0 ? 0 : lowBitMask(Bits);
+  std::vector<std::pair<uint64_t, uint64_t>> Ranges = {{0, UniverseHi}};
+  Rng Q(QuerySeed);
+  for (unsigned I = 0; I != 48; ++I) {
+    uint64_t Lo = Q.next() & UniverseHi;
+    uint64_t Hi = Lo + (Q.next() & (UniverseHi - Lo));
+    Ranges.emplace_back(Lo, Hi);
+  }
+  // Node-aligned queries: the ranges of the smallest covers of a few
+  // points, where the estimate is exactly one subtree weight.
+  for (unsigned I = 0; I != 16; ++I) {
+    RapNode Cover = Live.findSmallestCover(Q.next() & UniverseHi);
+    Ranges.emplace_back(Cover.lo(), Cover.hi());
+  }
+  for (const auto &[Lo, Hi] : Ranges) {
+    EXPECT_EQ(Live.estimateRange(Lo, Hi), Fresh->estimateRange(Lo, Hi))
+        << Context << " on [" << Lo << ", " << Hi << "]";
+    RapTree::RangeBounds A = Live.estimateRangeBounds(Lo, Hi);
+    RapTree::RangeBounds B = Fresh->estimateRangeBounds(Lo, Hi);
+    EXPECT_EQ(A.Lower, B.Lower) << Context << " on [" << Lo << ", " << Hi
+                                << "]";
+    EXPECT_EQ(A.Upper, B.Upper) << Context << " on [" << Lo << ", " << Hi
+                                << "]";
+  }
+  for (size_t K : {size_t(1), size_t(8), size_t(Live.numNodes() + 1)})
+    expectSameTopK(Live.topK(K), Fresh->topK(K),
+                   Context + ", topK(" + std::to_string(K) + ")");
+  for (double Phi : {0.01, 0.1, 0.5})
+    expectSameHot(Live.extractHotRanges(Phi), Fresh->extractHotRanges(Phi),
+                  Context + ", hot ranges at " + std::to_string(Phi));
 }
 
 class ArenaEquivalence : public testing::TestWithParam<SweepParam> {
@@ -194,6 +282,22 @@ TEST_P(ArenaEquivalence, NodeSetRoundTripRestoresIdenticalTree) {
   EXPECT_EQ(A, B) << "restored tree diverged under further updates";
 }
 
+TEST_P(ArenaEquivalence, LiveAndRestoredTreesAnswerAlike) {
+  // The live tree has just taken updates, so its sum column is stale
+  // and every answer comes from walks; the restored copy answers from
+  // the column. Compared at checkpoints through the stream.
+  const SweepParam &P = GetParam();
+  RapConfig Config = makeConfig();
+  RapTree Arena(Config);
+  StreamGen Gen(P.Kind, P.RangeBits, P.StreamSeed ^ 0x5u);
+  for (uint64_t I = 1; I <= NumEvents; ++I) {
+    Arena.addPoint(Gen.next());
+    if (I % CheckpointEvery == 0)
+      expectRestoredAnswersMatch(Arena, P.StreamSeed + I,
+                                 "after " + std::to_string(I) + " events");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, ArenaEquivalence,
                          testing::ValuesIn(standardSweep()), paramName);
 
@@ -213,6 +317,7 @@ protected:
       Legacy.addPoint(X, W);
     }
     expectEquivalent(Arena, Legacy, Context);
+    expectRestoredAnswersMatch(Arena, Stream.size(), Context);
   }
 };
 

@@ -90,7 +90,7 @@ TEST(RapTree, SplitChildrenStartAtZeroAndParentKeepsCount) {
   // Newly created children have zero counts.
   uint64_t ChildSum = 0;
   for (unsigned Slot = 0; Slot != Tree.root().numChildSlots(); ++Slot)
-    if (const RapNode *Child = Tree.root().child(Slot))
+    if (std::optional<RapNode> Child = Tree.root().child(Slot))
       ChildSum += Child->subtreeWeight();
   EXPECT_EQ(ChildSum, 0u);
 }
@@ -298,7 +298,7 @@ TEST(RapTree, BranchFactorFourSplitsIntoFourChildren) {
   EXPECT_EQ(Tree.root().numChildSlots(), 4u);
   unsigned Live = 0;
   for (unsigned Slot = 0; Slot != 4; ++Slot)
-    Live += Tree.root().child(Slot) != nullptr;
+    Live += Tree.root().child(Slot).has_value();
   EXPECT_EQ(Live, 4u);
 }
 
@@ -328,4 +328,31 @@ TEST(RapTree, NumSplitsAndMergedNodesAccumulate) {
     Tree.addPoint((I * 131) % 256);
   EXPECT_GT(Tree.numSplits(), 0u);
   EXPECT_GT(Tree.numMergePasses(), 0u);
+}
+
+TEST(RapTree, SubtreeSumColumnFreshOnlyBetweenWalksAndUpdates) {
+  // The column is refreshed by whole-tree walks (merge pass, absorb)
+  // and goes stale on the next counter move; either way the root's
+  // subtree weight is the whole stream.
+  RapTree Tree(smallConfig(0.1, false));
+  for (uint64_t I = 0; I != 2000; ++I)
+    Tree.addPoint((I * 37) % 256);
+  EXPECT_FALSE(Tree.subtreeSumsFresh());
+  uint64_t StaleRoot = Tree.root().subtreeWeight();
+
+  Tree.mergeNow();
+  EXPECT_TRUE(Tree.subtreeSumsFresh());
+  EXPECT_EQ(Tree.root().subtreeWeight(), StaleRoot);
+  Tree.addPoint(40, 0); // moves no counter
+  EXPECT_TRUE(Tree.subtreeSumsFresh());
+
+  Tree.addPoint(40);
+  EXPECT_FALSE(Tree.subtreeSumsFresh());
+  EXPECT_EQ(Tree.root().subtreeWeight(), StaleRoot + 1);
+
+  RapTree Other(smallConfig(0.1, false));
+  Other.addPoint(41, 5);
+  Tree.absorb(Other);
+  EXPECT_TRUE(Tree.subtreeSumsFresh());
+  EXPECT_EQ(Tree.root().subtreeWeight(), StaleRoot + 6);
 }

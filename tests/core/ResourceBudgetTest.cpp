@@ -56,6 +56,33 @@ TEST(ResourceBudget, NodeBudgetNeverExceededPerEvent) {
   EXPECT_TRUE(TreeInvariants::audit(Tree).empty());
 }
 
+TEST(ResourceBudget, ForcedPassThenSplitKeepsSumColumnTruthful) {
+  // A forced merge pass inside addPoint refreshes the subtree-sum
+  // column and marks it fresh; the split that follows in the same
+  // addPoint must leave it exact (the new children start at zero).
+  // Scheduled merges are off, so the forced pass is the only refresh.
+  RapConfig Config = budgetedConfig(48);
+  Config.EnableMerges = false;
+  RapTree Tree(Config);
+  Rng R(3);
+  uint64_t Hits = 0;
+  for (int I = 0; I != 20000; ++I) {
+    uint64_t Passes = Tree.forcedMergePasses();
+    uint64_t Splits = Tree.numSplits();
+    Tree.addPoint(R.nextBelow(1u << 16));
+    if (Tree.forcedMergePasses() == Passes || Tree.numSplits() == Splits)
+      continue;
+    ++Hits;
+    ASSERT_TRUE(Tree.subtreeSumsFresh()) << "after event " << I;
+    std::vector<InvariantViolation> Violations = TreeInvariants::audit(Tree);
+    ASSERT_TRUE(Violations.empty())
+        << "after event " << I << "\n" << TreeInvariants::render(Violations);
+  }
+  EXPECT_GT(Hits, 0u) << "no forced pass was followed by a split";
+  Tree.addPoint(7);
+  EXPECT_FALSE(Tree.subtreeSumsFresh()) << "an update must clear the bit";
+}
+
 TEST(ResourceBudget, ByteBudgetTranslatesToNodes) {
   // MaxMemoryBytes is floor-divided by the per-node arena cost; both
   // caps set takes the tighter one.

@@ -37,7 +37,7 @@ void collect(const RapNode &Node,
              std::vector<std::tuple<uint64_t, unsigned, uint64_t>> &Out) {
   Out.emplace_back(Node.lo(), Node.widthBits(), Node.count());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collect(*Child, Out);
 }
 

@@ -29,13 +29,15 @@
 #   7. when clang++ is installed: a clang build of rap_core with
 #      -Wthread-safety, the independent check of the same lock
 #      annotations rap_lint verifies
-#   8. non-gating perf leg: bench_run, bench_parallel, bench_admission
-#      and bench_query --smoke through the bench_diff schema check,
-#      schema checks of the pinned BENCH_parallel.json,
-#      BENCH_admission.json and BENCH_query.json, plus a
-#      timing-tolerant diff of the smoke numbers against the pinned
-#      BENCH_core.json (timings on unpinned CI machines are advisory;
-#      only the schema checks can fail the run)
+#   8. non-gating perf leg: bench_run, bench_parallel and
+#      bench_admission --smoke plus the full bench_query run (a few
+#      seconds) through the bench_diff schema check, schema checks of
+#      the pinned BENCH_parallel.json, BENCH_admission.json and
+#      BENCH_query.json, plus timing-tolerant diffs of the smoke
+#      numbers against the pinned BENCH_core.json and of the full
+#      query run against BENCH_query.json (timings on unpinned CI
+#      machines are advisory; only the schema checks and bench_query's
+#      own answer checksum can fail the run)
 #
 # Usage: tools/ci.sh [jobs]     (from the repo root; default jobs = nproc)
 #
@@ -117,13 +119,16 @@ step "bench smoke + schema check (perf numbers non-gating)"
     --out=build/BENCH_admission_smoke.json
 ./build/tools/bench_diff --check build/BENCH_admission_smoke.json
 ./build/tools/bench_diff --check BENCH_admission.json
-./build/bench/bench_query --smoke --out=build/BENCH_query_smoke.json
-./build/tools/bench_diff --check build/BENCH_query_smoke.json
+./build/bench/bench_query --out=build/BENCH_query_full.json
+./build/tools/bench_diff --check build/BENCH_query_full.json
 ./build/tools/bench_diff --check BENCH_query.json
 # Advisory only: smoke timings on a shared machine are noise, but a
 # catastrophic slowdown is still worth a line in the log.
 ./build/tools/bench_diff BENCH_core.json build/BENCH_smoke.json \
     --max-regress=0.90 ||
   echo "WARNING: smoke numbers far below the pinned baseline (non-gating)"
+./build/tools/bench_diff BENCH_query.json build/BENCH_query_full.json \
+    --max-regress=0.90 ||
+  echo "WARNING: query numbers far below the pinned baseline (non-gating)"
 
 step "CI matrix green"

@@ -15,7 +15,10 @@
 //
 // --arena derives each episode with a stage-0 combining capacity, so
 // the stream reaches the tree through StageZeroBuffer windows and the
-// combining + arena-descent path is what gets fuzzed. Replays of
+// combining + arena-descent path is what gets fuzzed. Every checkpoint
+// also restores the tree's snapshot, which answers from the
+// subtree-sum column, and requires its estimates, brackets, top-k and
+// hot ranges to match the live tree's walks bit for bit. Replays of
 // arena episodes need --arena too.
 //
 // --faults derives each episode with a resource-governance regime (a
