@@ -111,15 +111,6 @@ struct RapConfig {
   /// admission decisions, so runs replay deterministically.
   uint64_t AdmissionSeed = 0x9e3779b97f4a7c15ULL;
 
-  /// Maintains the warm-prefix bitmap (core/RangeFence.h) that lets
-  /// estimateRange / estimateRangeBounds answer provably-cold queries
-  /// without walking the tree, and lets topK skip all-zero subtrees.
-  /// Pure query acceleration: every estimate is bit-identical with
-  /// the fence on or off (rap_fuzz --fence checks exactly that), so
-  /// the flag is deliberately NOT serialized — a restored snapshot
-  /// re-derives the bitmap under whatever the restoring config says.
-  bool EnableRangeFence = true;
-
   /// The node cap implied by MaxNodes and MaxMemoryBytes together:
   /// the tighter of the two, or 0 when both are unbounded.
   uint64_t effectiveNodeBudget() const {

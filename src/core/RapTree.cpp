@@ -188,18 +188,10 @@ RapTree::RapTree(const RapConfig &TreeConfig) : Config(TreeConfig) {
   NextMergeAt = Config.InitialMergeInterval;
   AdmissionRngState = Config.AdmissionSeed;
   Pressure.NodeBudget = Config.effectiveNodeBudget();
-  if (Config.EnableRangeFence)
-    Fence.init(Config.RangeBits);
 }
 
 uint64_t RapTree::refreshWalk(uint32_t Node) {
-  uint64_t Warm = 0;
   uint64_t Sum = Arena.Counts[Node];
-  if (Sum > 0) {
-    Warm = 1;
-    if (Node != 0 && Fence.enabled())
-      Fence.markNode(Arena.Los[Node], Arena.Widths[Node]);
-  }
   uint64_t Nav = Arena.Navs[Node];
   if (!NodeArena::navIsLeaf(Nav)) {
     uint32_t First = NodeArena::navFirstChild(Nav);
@@ -208,25 +200,20 @@ uint64_t RapTree::refreshWalk(uint32_t Node) {
       uint32_t Child = First + Slot;
       if (NodeArena::navIsDead(Arena.Navs[Child]))
         continue;
-      Warm += refreshWalk(Child);
-      Sum = saturatingAdd(Sum, Arena.Sums[Child]);
+      Sum = saturatingAdd(Sum, refreshWalk(Child));
     }
   }
   Arena.Sums[Node] = Sum;
-  return Warm;
+  return Sum;
 }
 
 void RapTree::refreshSummaries() {
-  // Re-derives the fence bitmap, the warm-node count and the subtree
-  // sum column from the live counters. Required after any operation
-  // that moves counters wholesale (merge folds lift child weight onto
-  // possibly-cold parents; absorb and fromNodeSet write counters
-  // directly), and doubles as a fence precision reset: buckets whose
-  // weight folded into the root read cold again. One O(numNodes)
-  // walk, called only from paths that already walk the whole tree.
-  if (Fence.enabled())
-    Fence.clear();
-  WarmNodes = refreshWalk(0);
+  // Re-derives the subtree sum column from the live counters. Required
+  // after any operation that moves counters wholesale (merge folds
+  // lift child weight onto parents; absorb and fromNodeSet write
+  // counters directly). One O(numNodes) walk, called only from paths
+  // that already walk the whole tree.
+  refreshWalk(0);
   Arena.SumsFresh = true;
 }
 
@@ -317,8 +304,8 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
   // A node set captured without a budget (or under a looser one) may
   // exceed this config's cap; restoring coarsens it under the cap.
   Tree->enforceNodeBudget();
-  // Snapshots never carry the fence or the sum column (both are pure
-  // acceleration state); derive them from the restored counters.
+  // Snapshots never carry the sum column (pure acceleration state);
+  // derive it from the restored counters.
   Tree->refreshSummaries();
   return Tree;
 }
@@ -361,19 +348,8 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   Arena.SumsFresh = false; // A counter moves below; merges refresh.
 
   uint32_t Node = descendIndex(X);
-  uint64_t OldCount = Arena.Counts[Node];
-  uint64_t NewCount = saturatingAdd(OldCount, Weight);
+  uint64_t NewCount = saturatingAdd(Arena.Counts[Node], Weight);
   Arena.Counts[Node] = NewCount;
-
-  // First touch of this counter: the node's range is no longer
-  // provably cold. Marking at the node's own scale (not just X's
-  // finest bucket) is what keeps the fence sound — the counter stands
-  // for events anywhere in the range.
-  if (OldCount == 0) {
-    ++WarmNodes;
-    if (Node != 0 && Fence.enabled())
-      Fence.markNode(Arena.Los[Node], Arena.Widths[Node]);
-  }
 
   // Split check (Sec 2.2): a counter that outgrew the threshold sprouts
   // children so subsequent events in this range profile more precisely
@@ -725,21 +701,8 @@ uint64_t RapTree::estimateWalk(RapNode Node, uint64_t Lo,
   return Total;
 }
 
-bool RapTree::rangeProvablyCold(uint64_t Lo, uint64_t Hi) const {
-  if (!Fence.enabled())
-    return false;
-  // A query covering the whole universe contains the root, whose own
-  // counter contributes even though the fence never tracks it; only
-  // an empty stream makes that query cold.
-  if (Lo == 0 && Hi >= root().hi())
-    return NumEvents == 0;
-  return Fence.provablyCold(Lo, Hi);
-}
-
 uint64_t RapTree::estimateRange(uint64_t Lo, uint64_t Hi) const {
   assert(Lo <= Hi && "empty query range");
-  if (rangeProvablyCold(Lo, Hi))
-    return 0;
   return estimateWalk(root(), Lo, Hi);
 }
 
@@ -757,40 +720,10 @@ static uint64_t upperWalk(RapNode Node, uint64_t Lo, uint64_t Hi) {
   return Total;
 }
 
-/// upperWalk restricted to what can be nonzero on a fence-cold query:
-/// no positive node is fully contained in [Lo, Hi], so every
-/// fully-inside subtree weighs zero and only nodes STRADDLING an
-/// endpoint contribute their own counters. A node intersecting the
-/// query without being contained must cover Lo or Hi (its range
-/// extends past one end), so the walk follows just the two endpoint
-/// ancestor chains — O(depth) instead of a full overlap walk, and
-/// bit-identical to upperWalk by the argument above.
-static uint64_t coldUpperWalk(RapNode Node, uint64_t Lo, uint64_t Hi) {
-  uint64_t Total = Node.count();
-  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (std::optional<RapNode> Child = Node.child(Slot)) {
-      bool HasLo = Child->lo() <= Lo && Lo <= Child->hi();
-      bool HasHi = Child->lo() <= Hi && Hi <= Child->hi();
-      if (HasLo || HasHi)
-        Total = saturatingAdd(Total, coldUpperWalk(*Child, Lo, Hi));
-    }
-  return Total;
-}
-
 RapTree::RangeBounds RapTree::estimateRangeBounds(uint64_t Lo,
                                                   uint64_t Hi) const {
   assert(Lo <= Hi && "empty query range");
   RangeBounds Bounds;
-  if (rangeProvablyCold(Lo, Hi)) {
-    Bounds.Lower = 0;
-    // Zero for the empty-stream full-universe case the cold check
-    // lets through; otherwise the endpoint chains still bound from
-    // above (wide straddling counters may hold in-range events).
-    Bounds.Upper = Lo == 0 && Hi >= root().hi()
-                       ? 0
-                       : coldUpperWalk(root(), Lo, Hi);
-    return Bounds;
-  }
   Bounds.Lower = estimateWalk(root(), Lo, Hi);
   Bounds.Upper = upperWalk(root(), Lo, Hi);
   return Bounds;
@@ -847,14 +780,7 @@ std::vector<HotRange> RapTree::extractHotRanges(double Phi) const {
 }
 
 uint64_t RapTree::topKWalk(RapNode Node, unsigned Depth, uint64_t AncestorOwn,
-                           bool PruneCold, std::vector<TopKRange> &Out) const {
-  // A fence-cold non-root subtree holds only zero counters: every
-  // entry it would emit has Retained == 0 and can never displace the
-  // K positive-retained winners the caller established exist, and
-  // its weight is 0. Warm nodes mark their own buckets, so no warm
-  // node can hide under a pruned ancestor.
-  if (PruneCold && Depth != 0 && Fence.provablyCold(Node.lo(), Node.hi()))
-    return 0;
+                           std::vector<TopKRange> &Out) const {
   // Reserve this node's entry, visit the children, then patch in the
   // subtree weight they returned: one post-order pass, no per-node
   // subtree walk. Returns the subtree weight.
@@ -871,8 +797,7 @@ uint64_t RapTree::topKWalk(RapNode Node, unsigned Depth, uint64_t AncestorOwn,
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
     if (std::optional<RapNode> Child = Node.child(Slot))
       Subtree = saturatingAdd(
-          Subtree,
-          topKWalk(*Child, Depth + 1, ChildAncestorOwn, PruneCold, Out));
+          Subtree, topKWalk(*Child, Depth + 1, ChildAncestorOwn, Out));
   // Subtree weight is exactly estimateRange(Lo, Hi) for a node-aligned
   // range (a provable lower bound); the matching upper bound charges
   // every ancestor's own counter, since those events may fall anywhere
@@ -886,13 +811,8 @@ std::vector<TopKRange> RapTree::topK(size_t K) const {
   std::vector<TopKRange> Out;
   if (K == 0)
     return Out;
-  // Cold subtrees may be skipped only when the K winners are all
-  // positive-retained, i.e. K does not reach into the zero-retained
-  // tail; otherwise the tail entries are part of the answer and the
-  // walk must visit everything.
-  bool PruneCold = Fence.enabled() && K <= WarmNodes;
   Out.reserve(NumNodes);
-  topKWalk(root(), 0, 0, PruneCold, Out);
+  topKWalk(root(), 0, 0, Out);
   // Strict total order (node ranges are unique, so (Lo, WidthBits)
   // breaks every Retained tie): the k-nesting property topK(k) ⊆
   // topK(k+m) falls out of prefix-of-a-fixed-order.

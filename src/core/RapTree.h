@@ -36,7 +36,6 @@
 #define RAP_CORE_RAPTREE_H
 
 #include "core/Pressure.h"
-#include "core/RangeFence.h"
 #include "core/RapConfig.h"
 #include "core/RapNode.h"
 
@@ -244,28 +243,6 @@ public:
   /// the query). Upper - Lower <= eps * n for node-aligned queries.
   RangeBounds estimateRangeBounds(uint64_t Lo, uint64_t Hi) const;
 
-  /// True when the range fence proves estimateRange(Lo, Hi) == 0
-  /// without a walk: no positive counter can contribute to the query.
-  /// False never means "warm" — only "walk the tree to find out" —
-  /// and the fence being disabled (Config.EnableRangeFence off)
-  /// always answers false. estimateRange and estimateRangeBounds
-  /// consult this internally; it is public so batch consumers (the
-  /// sharded session, bench drivers) can count fence hits.
-  bool rangeProvablyCold(uint64_t Lo, uint64_t Hi) const;
-
-  /// Warm buckets currently set in the fence bitmap (0 when the
-  /// fence is disabled); with numFenceBuckets() this is the fence
-  /// occupancy a dashboard or bench report shows.
-  uint64_t fenceWarmBuckets() const { return Fence.warmBuckets(); }
-
-  /// Total fence buckets (0 when the fence is disabled).
-  uint64_t numFenceBuckets() const { return Fence.numBuckets(); }
-
-  /// Nodes whose own counter is positive. Maintained incrementally
-  /// (first-touch in addPoint, re-derived on merge/absorb/restore);
-  /// topK uses it to decide when all-zero subtrees can be skipped.
-  uint64_t numWarmNodes() const { return WarmNodes; }
-
   /// Streaming top-k hot-range report: the \p K tree ranges retaining
   /// the most weight at their own granularity, each with a provable
   /// [LowerWeight, UpperWeight] bracket on its true count. Ordering is
@@ -337,7 +314,7 @@ private:
                    std::vector<HotRange> &Out,
                    uint64_t &ExclusiveWeight) const;
   uint64_t topKWalk(RapNode Node, unsigned Depth, uint64_t AncestorOwn,
-                    bool PruneCold, std::vector<TopKRange> &Out) const;
+                    std::vector<TopKRange> &Out) const;
   uint64_t estimateWalk(RapNode Node, uint64_t Lo, uint64_t Hi) const;
   void scheduleAfterMerge();
   void refreshSummaries();
@@ -358,11 +335,6 @@ private:
   uint64_t AdmissionRngState = 0;
   std::vector<uint64_t> MergeEventCounts;
   TreePressure Pressure;
-  /// Cold-query filter (disabled unless Config.EnableRangeFence).
-  /// Never serialized: rebuilt from counters by refreshSummaries().
-  RangeFence Fence;
-  /// Count of positive own counters; see numWarmNodes().
-  uint64_t WarmNodes = 0;
 };
 
 } // namespace rap

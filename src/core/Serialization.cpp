@@ -177,37 +177,6 @@ std::unique_ptr<RapTree> ProfileSnapshot::restore() const {
   return Tree;
 }
 
-uint64_t ProfileSnapshot::estimateRange(uint64_t Lo, uint64_t Hi) const {
-  return restore()->estimateRange(Lo, Hi);
-}
-
-std::vector<HotRange> ProfileSnapshot::extractHotRanges(double Phi) const {
-  return restore()->extractHotRanges(Phi);
-}
-
-std::vector<int64_t> ProfileSnapshot::buildParents() const {
-  std::vector<int64_t> Parents(Nodes.size(), -1);
-  std::vector<size_t> Stack;
-  for (size_t I = 0; I != Nodes.size(); ++I) {
-    uint64_t Width = Nodes[I].WidthBits >= 64
-                         ? ~uint64_t(0)
-                         : (uint64_t(1) << Nodes[I].WidthBits) - 1;
-    uint64_t Hi = Nodes[I].Lo + Width;
-    auto Encloses = [&](size_t J) {
-      uint64_t JWidth = Nodes[J].WidthBits >= 64
-                            ? ~uint64_t(0)
-                            : (uint64_t(1) << Nodes[J].WidthBits) - 1;
-      return Nodes[J].Lo <= Nodes[I].Lo && Hi <= Nodes[J].Lo + JWidth;
-    };
-    while (!Stack.empty() && !Encloses(Stack.back()))
-      Stack.pop_back();
-    if (!Stack.empty())
-      Parents[I] = static_cast<int64_t>(Stack.back());
-    Stack.push_back(I);
-  }
-  return Parents;
-}
-
 bool ProfileSnapshot::writeBinary(std::ostream &OS) const {
   // Serialize the body first so the footer checksum covers exactly
   // the bytes on the wire, magic included.

@@ -113,13 +113,6 @@ public:
   /// Preorder node list (parents before children, siblings by range).
   const std::vector<Node> &nodes() const { return Nodes; }
 
-  /// Lower-bound estimate of the events in [Lo, Hi], identical to
-  /// RapTree::estimateRange on the captured tree.
-  uint64_t estimateRange(uint64_t Lo, uint64_t Hi) const;
-
-  /// Hot ranges at fraction \p Phi, identical to the live tree's.
-  std::vector<HotRange> extractHotRanges(double Phi) const;
-
   /// Writes the current (version-4) binary format, CRC footer
   /// included. Returns false if the stream failed; partial output may
   /// have been written, but its checksum will not verify.
@@ -167,9 +160,6 @@ public:
 private:
   friend class SnapshotBuilder;
   ProfileSnapshot() = default;
-
-  /// Index of the last node whose range encloses Nodes[I], or -1.
-  std::vector<int64_t> buildParents() const;
 
   RapConfig Config;
   uint64_t NumEvents = 0;

@@ -112,12 +112,6 @@ ShardedRapSession::combinedEstimateBounds(uint64_t Lo, uint64_t Hi) const {
   return CombinedTree->estimateRangeBounds(Lo, Hi);
 }
 
-bool ShardedRapSession::combinedRangeProvablyCold(uint64_t Lo,
-                                                  uint64_t Hi) const {
-  std::lock_guard<std::mutex> CombineGuard(CombineMu);
-  return CombinedTree->rangeProvablyCold(Lo, Hi);
-}
-
 std::vector<HotRange> ShardedRapSession::combinedHotRanges(double Phi) const {
   std::lock_guard<std::mutex> CombineGuard(CombineMu);
   return CombinedTree->extractHotRanges(Phi);
@@ -160,10 +154,7 @@ std::vector<TopKRange> ShardedRapSession::topKRanges(size_t K) const {
   // brackets are sound for that tree's slice of the stream and every
   // ingested event lives in exactly one tree, so their sums bracket
   // the whole stream's count. This is the combiner's hot loop
-  // (candidates x trees bounds queries), and it is where the range
-  // fence earns its keep: a range nominated by one tree is usually
-  // provably cold in the other deltas, so those estimateRangeBounds
-  // calls return without walking.
+  // (candidates x trees bounds queries).
   for (TopKRange &C : Candidates) {
     RapTree::RangeBounds B = CombinedTree->estimateRangeBounds(C.Lo, C.Hi);
     C.LowerWeight = B.Lower;

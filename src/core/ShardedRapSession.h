@@ -105,12 +105,6 @@ public:
   RapTree::RangeBounds combinedEstimateBounds(uint64_t Lo,
                                               uint64_t Hi) const;
 
-  /// True when the combined tree's range fence proves [Lo, Hi] holds
-  /// no combined weight (see RapTree::rangeProvablyCold). Pending
-  /// shard deltas are NOT consulted: like every other query, the
-  /// answer is the combined view as of the last combine.
-  bool combinedRangeProvablyCold(uint64_t Lo, uint64_t Hi) const;
-
   /// Hot ranges of the combined view at hotness fraction \p Phi.
   std::vector<HotRange> combinedHotRanges(double Phi) const;
 

@@ -52,11 +52,6 @@ DifferentialOracle::DifferentialOracle(const RapConfig &TreeConfig,
     Options.CrossCheckReference = false;
   if (Options.CrossCheckReference)
     Reference = std::make_unique<ReferenceRapTree>(TreeConfig);
-  if (Options.CrossCheckFence) {
-    RapConfig TwinConfig = TreeConfig;
-    TwinConfig.EnableRangeFence = !TreeConfig.EnableRangeFence;
-    FenceTwin = std::make_unique<RapTree>(TwinConfig);
-  }
   if (Options.CombineCapacity != 0)
     Combiner = std::make_unique<StageZeroBuffer>(Options.CombineCapacity);
 }
@@ -65,8 +60,6 @@ void DifferentialOracle::deliverPoint(uint64_t X, uint64_t Weight) {
   Auditor.addPoint(X, Weight);
   if (Reference)
     Reference->addPoint(X, Weight);
-  if (FenceTwin)
-    FenceTwin->addPoint(X, Weight);
   if (Weight != 0)
     MaxWeight = std::max(MaxWeight, Weight);
 }
@@ -153,28 +146,6 @@ void DifferentialOracle::checkRange(uint64_t Lo, uint64_t Hi,
          "[%" PRIx64 ", %" PRIx64 "] bracket upper %" PRIu64
          " below the true %" PRIu64,
          Lo, Hi, Bounds.Upper, Truth);
-  // Fence equivalence: the fence-flipped twin saw the same stream, so
-  // every estimate and bracket must agree bit for bit — the fence is
-  // never allowed to change an answer, only to reach it faster. The
-  // flipped tree also validates the incremental bitmap against the
-  // rebuilt one (whichever side carries the fence exercises both the
-  // first-touch marks and the merge-time rebuilds).
-  if (FenceTwin) {
-    uint64_t TwinEstimate = FenceTwin->estimateRange(Lo, Hi);
-    RapTree::RangeBounds TwinBounds = FenceTwin->estimateRangeBounds(Lo, Hi);
-    if (TwinEstimate != Estimate)
-      fail(Violations, "fence-equivalence",
-           "[%" PRIx64 ", %" PRIx64 "] fenced/unfenced estimates diverge: %"
-           PRIu64 " vs %" PRIu64,
-           Lo, Hi, Estimate, TwinEstimate);
-    if (TwinBounds.Lower != Bounds.Lower || TwinBounds.Upper != Bounds.Upper)
-      fail(Violations, "fence-equivalence",
-           "[%" PRIx64 ", %" PRIx64 "] fenced/unfenced brackets diverge: [%"
-           PRIu64 ", %" PRIu64 "] vs [%" PRIu64 ", %" PRIu64 "]",
-           Lo, Hi, Bounds.Lower, Bounds.Upper, TwinBounds.Lower,
-           TwinBounds.Upper);
-  }
-
   if (GridAligned && Estimate <= Truth &&
       static_cast<double>(Truth - Estimate) > errorBudget())
     fail(Violations, "eps-bound",
@@ -253,30 +224,6 @@ void DifferentialOracle::checkTopK() {
       static_cast<size_t>(std::min<uint64_t>(Tree.numNodes(), 8));
   std::vector<TopKRange> Top = Tree.topK(K);
   std::vector<TopKRange> More = Tree.topK(K + 4);
-
-  // Fence equivalence for reports: both the pruned regime (small K,
-  // all winners positive-retained) and the full-walk regime (K past
-  // the node count, zero-retained tail included) must be identical to
-  // the fence-flipped twin, entry for entry.
-  if (FenceTwin) {
-    for (size_t QueryK :
-         {K, static_cast<size_t>(Tree.numNodes()) + 3}) {
-      std::vector<TopKRange> Mine = Tree.topK(QueryK);
-      std::vector<TopKRange> Twin = FenceTwin->topK(QueryK);
-      bool Match = Mine.size() == Twin.size();
-      for (size_t I = 0; Match && I != Mine.size(); ++I)
-        Match = Mine[I].Lo == Twin[I].Lo &&
-                Mine[I].WidthBits == Twin[I].WidthBits &&
-                Mine[I].Retained == Twin[I].Retained &&
-                Mine[I].LowerWeight == Twin[I].LowerWeight &&
-                Mine[I].UpperWeight == Twin[I].UpperWeight;
-      if (!Match)
-        fail(Violations, "fence-equivalence",
-             "topK(%zu) diverges between fenced and unfenced trees "
-             "(%zu vs %zu entries)",
-             QueryK, Mine.size(), Twin.size());
-    }
-  }
 
   if (Top.size() != K)
     fail(Violations, "topk-shape", "topK(%zu) returned %zu entries", K,

@@ -86,15 +86,6 @@ struct OracleOptions {
   /// identical estimates, brackets and hot ranges, which is the
   /// arena-vs-legacy equivalence guarantee.
   bool CrossCheckReference = true;
-
-  /// Maintain a twin RapTree with EnableRangeFence flipped, fed the
-  /// identical (combined) stream, and require every estimate, bracket
-  /// and topK report to match the audited tree bit for bit. The fence
-  /// is advertised as pure query acceleration; this is the invariant
-  /// that backs the claim. Unlike the reference cross-check it stays
-  /// valid under budgets and admission (the fence consumes no
-  /// randomness and never changes tree structure).
-  bool CrossCheckFence = true;
 };
 
 /// Feeds one stream to all three profilers and checks them against
@@ -133,10 +124,6 @@ public:
   /// off.
   const ReferenceRapTree *reference() const { return Reference.get(); }
 
-  /// The fence-flipped twin tree, or null when CrossCheckFence is
-  /// off.
-  const RapTree *fenceTwin() const { return FenceTwin.get(); }
-
 private:
   void checkRange(uint64_t Lo, uint64_t Hi, bool GridAligned);
   void checkHotRanges(double Phi);
@@ -157,7 +144,6 @@ private:
   ExactProfiler Exact;
   FlatRangeProfiler Flat;
   std::unique_ptr<ReferenceRapTree> Reference;
-  std::unique_ptr<RapTree> FenceTwin;
   std::unique_ptr<StageZeroBuffer> Combiner;
   uint64_t MaxWeight = 1;
   std::vector<InvariantViolation> Violations;

@@ -283,37 +283,13 @@ FuzzEpisode rap::deriveAdmissionEpisode(uint64_t MasterSeed, uint64_t Index) {
   return E;
 }
 
-FuzzEpisode rap::deriveFenceEpisode(uint64_t MasterSeed, uint64_t Index) {
-  FuzzEpisode E = deriveEpisode(MasterSeed, Index);
-  // A separate draw stream (same pattern as deriveArenaEpisode): the
-  // base episode stays bit-identical so fence episodes replay against
-  // the same configs and streams.
-  SplitMix64 M(MasterSeed ^ (0x6c62272e07bb0142ULL * (Index + 1)));
-  E.FenceTwin = true;
-  E.Config.EnableRangeFence = true; // the OFF twin flips this
-  uint64_t Regime = M.next() % 4;
-  if (Regime == 1 || Regime == 3) {
-    static const double Coarseness[] = {1.0, 2.0, 4.0, 8.0};
-    E.Config.EnableAdmission = true;
-    E.Config.AdmissionCoarseness = Coarseness[M.next() % 4];
-    E.Config.AdmissionSeed = M.next();
-  }
-  if (Regime == 2 || Regime == 3) {
-    if (M.next() % 2 == 0)
-      E.Config.MaxMemoryBytes = 4096;
-    else
-      E.Config.MaxNodes = 64;
-  }
-  return E;
-}
-
 namespace {
 
 /// Appends an \p Id violation for every answer on which trees \p A
 /// and \p B (named \p NameA and \p NameB in the report) differ:
 /// estimates and brackets over 32 random ranges drawn from \p R, topK
-/// below, at and past the node count (so fence-pruned and full walks
-/// are both compared), and hot ranges at two fractions.
+/// below, at and past the node count, and hot ranges at two
+/// fractions.
 void compareAnswers(const RapTree &A, const char *NameA, const RapTree &B,
                     const char *NameB, Rng &R, uint64_t UniverseHi,
                     const char *Id, std::vector<InvariantViolation> &Out) {
@@ -455,13 +431,6 @@ FuzzReport rap::runFuzzEpisode(const FuzzEpisode &Episode, uint64_t NumEvents,
   // still bound the estimates.
   if (Episode.Config.effectiveNodeBudget() != 0 || Episode.AllocFailEvery != 0)
     Options.CrossCheckReference = false;
-  // The fence twin survives budgets and admission (both per-tree
-  // deterministic), but not injected allocation faults: the failpoint
-  // counter is process-global, so with two trees feeding, the armed
-  // failure lands in whichever tree allocates next and only that tree
-  // degrades — a lawful divergence, not a fence bug.
-  if (Episode.AllocFailEvery != 0)
-    Options.CrossCheckFence = false;
   DifferentialOracle Oracle(Episode.Config, Options);
   StreamFuzzer Stream(Episode.StreamSeed, Episode.Shape,
                       Episode.Config.RangeBits);
@@ -675,93 +644,6 @@ FuzzReport rap::runAdmissionFuzzEpisode(const FuzzEpisode &Episode,
   return Report;
 }
 
-FuzzReport rap::runFenceFuzzEpisode(const FuzzEpisode &Episode,
-                                    uint64_t NumEvents, uint64_t CheckEvery) {
-  // Fault hygiene, as in runFuzzEpisode.
-  failpoints::disarmAll();
-  failpoints::ScopedDisarm Guard;
-
-  // The fence-ON tree runs under the full oracle; this runner IS the
-  // twin check, so the oracle's built-in fence twin is redundant and
-  // disabled. The legacy reference tree models no resource
-  // governance, so budgeted regimes drop that cross-check (same rule
-  // as runFuzzEpisode).
-  OracleOptions Options;
-  Options.CrossCheckFence = false;
-  if (Episode.Config.effectiveNodeBudget() != 0)
-    Options.CrossCheckReference = false;
-  DifferentialOracle Oracle(Episode.Config, Options);
-  RapConfig OffConfig = Episode.Config;
-  OffConfig.EnableRangeFence = false;
-  RapTree OffTree(OffConfig);
-
-  StreamFuzzer Stream(Episode.StreamSeed, Episode.Shape,
-                      Episode.Config.RangeBits);
-  Rng QueryRng(Episode.StreamSeed ^ 0x5bf03635aca1fed5ULL);
-  Rng CrossRng(Episode.StreamSeed ^ 0x6a09e667f3bcc909ULL);
-  const uint64_t UniverseHi =
-      Episode.Config.RangeBits == 0 ? 0
-                                    : lowBitMask(Episode.Config.RangeBits);
-
-  FuzzReport Report;
-  char Detail[192];
-  auto CrossCheck = [&]() {
-    std::vector<InvariantViolation> &Out = Report.Violations;
-    const RapTree &On = Oracle.tree();
-    if (On.numEvents() != OffTree.numEvents() ||
-        On.numNodes() != OffTree.numNodes()) {
-      std::snprintf(Detail, sizeof(Detail),
-                    "fenced tree %" PRIu64 " events / %" PRIu64
-                    " nodes, unfenced twin %" PRIu64 " / %" PRIu64,
-                    On.numEvents(), On.numNodes(), OffTree.numEvents(),
-                    OffTree.numNodes());
-      Out.push_back({"fence-equivalence", Detail});
-      return; // structurally diverged; range diffs would just cascade
-    }
-    compareAnswers(On, "fenced", OffTree, "unfenced", CrossRng, UniverseHi,
-                   "fence-equivalence", Out);
-    // Soundness, checked against the tree that never consults the
-    // fence: provably cold must mean literally zero retained weight.
-    for (unsigned Q = 0; Q != 32; ++Q) {
-      uint64_t Lo = CrossRng.next() & UniverseHi;
-      uint64_t Hi = Lo + (CrossRng.next() & (UniverseHi - Lo));
-      uint64_t OffEst = OffTree.estimateRange(Lo, Hi);
-      if (On.rangeProvablyCold(Lo, Hi) && OffEst != 0) {
-        std::snprintf(Detail, sizeof(Detail),
-                      "[%" PRIx64 ", %" PRIx64 "] provably cold but the "
-                      "unfenced walk retains %" PRIu64,
-                      Lo, Hi, OffEst);
-        Out.push_back({"fence-soundness", Detail});
-      }
-    }
-  };
-  const RapTree &OffView = OffTree;
-  auto CheckPoint = [&](uint64_t EventsFed) {
-    Oracle.checkNow(QueryRng);
-    Report.Violations = Oracle.violations();
-    for (const RapTree *T : {&Oracle.tree(), &OffView}) {
-      std::vector<InvariantViolation> Structural = TreeInvariants::audit(*T);
-      Report.Violations.insert(Report.Violations.end(), Structural.begin(),
-                               Structural.end());
-    }
-    CrossCheck();
-    Report.EventsFed = EventsFed;
-    return Report.Violations.empty();
-  };
-
-  for (uint64_t I = 0; I != NumEvents; ++I) {
-    StreamEvent Event = Stream.next();
-    Oracle.addPoint(Event.X, Event.Weight);
-    if (Event.Weight != 0)
-      OffTree.addPoint(Event.X, Event.Weight);
-    if (CheckEvery != 0 && (I + 1) % CheckEvery == 0 && I + 1 != NumEvents)
-      if (!CheckPoint(I + 1))
-        return Report;
-  }
-  CheckPoint(NumEvents);
-  return Report;
-}
-
 namespace {
 
 /// The seed thread \p T's sub-stream draws from. Pure function of the
@@ -878,15 +760,13 @@ FuzzReport rap::runShardedFuzzEpisode(const FuzzEpisode &Episode,
 
 uint64_t rap::minimizeFailure(const FuzzEpisode &Episode,
                               uint64_t FailingEvents) {
-  // Fence and admission episodes carry their twin cross-checks in
-  // their runners, so minimization must replay through the same
-  // runner that found the failure.
+  // Admission episodes carry their twin cross-check in their runner,
+  // so minimization must replay through the same runner that found
+  // the failure.
   auto FailsAt = [&](uint64_t N) {
-    FuzzReport R =
-        Episode.FenceTwin ? runFenceFuzzEpisode(Episode, N, /*CheckEvery=*/0)
-        : Episode.Config.EnableAdmission
-            ? runAdmissionFuzzEpisode(Episode, N, /*CheckEvery=*/0)
-            : runFuzzEpisode(Episode, N, /*CheckEvery=*/0);
+    FuzzReport R = Episode.Config.EnableAdmission
+                       ? runAdmissionFuzzEpisode(Episode, N, /*CheckEvery=*/0)
+                       : runFuzzEpisode(Episode, N, /*CheckEvery=*/0);
     return !R.ok();
   };
   if (!FailsAt(FailingEvents))

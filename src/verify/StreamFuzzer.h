@@ -123,12 +123,6 @@ struct FuzzEpisode {
   /// the byte stream, every one of which must be rejected.
   bool SnapshotChecks = false;
 
-  /// Fence-mode episode (rap_fuzz --fence): the episode is run by
-  /// runFenceFuzzEpisode, which drives a fence-ON tree through the
-  /// full oracle battery while cross-checking a fence-OFF twin fed
-  /// the identical stream bit for bit.
-  bool FenceTwin = false;
-
   /// Sharded-mode parameters (rap_fuzz --sharded). ShardThreads > 0
   /// marks a sharded episode: that many ingest threads drive one
   /// ShardedRapSession with SessionShards shards and an automatic
@@ -168,19 +162,6 @@ FuzzEpisode deriveShardedEpisode(uint64_t MasterSeed, uint64_t Index);
 /// episode replays deterministically including every admit/deny
 /// decision.
 FuzzEpisode deriveAdmissionEpisode(uint64_t MasterSeed, uint64_t Index);
-
-/// Like deriveEpisode (identical config/stream for the same inputs)
-/// but marked as a fence-twin episode, with a drawn governance regime
-/// layered on top: nothing, the randomized admission gate, a node or
-/// byte budget, or both at once. Every drawn regime is deterministic
-/// per tree (the admission RNG is seeded per tree, budget passes are
-/// deterministic), so the fence-ON and fence-OFF twins stay
-/// bit-identical — which is exactly the property the episode checks.
-/// Injected allocation faults are deliberately never drawn: the
-/// failpoint counter is process-global, so the armed failure would
-/// land in whichever twin allocates next and they would lawfully
-/// diverge.
-FuzzEpisode deriveFenceEpisode(uint64_t MasterSeed, uint64_t Index);
 
 /// Result of running one episode.
 struct FuzzReport {
@@ -237,18 +218,6 @@ FuzzReport runShardedFuzzEpisode(const FuzzEpisode &Episode,
 /// tree's top-k need contain the other's.
 FuzzReport runAdmissionFuzzEpisode(const FuzzEpisode &Episode,
                                    uint64_t NumEvents, uint64_t CheckEvery);
-
-/// Runs one fence episode. The fence-ON tree goes through the full
-/// DifferentialOracle battery (with the oracle's own fence twin
-/// disabled — this runner IS the twin check) while a fence-OFF tree
-/// is fed the identical stream. At every checkpoint the runner
-/// requires bit-for-bit agreement on node counts, range estimates,
-/// estimate brackets, and topK reports for the same drawn queries,
-/// and checks fence soundness directly: any range the fenced tree
-/// proves cold must estimate to zero on the UNFENCED tree (the fence
-/// never consulted). Both trees also pass the structural audit.
-FuzzReport runFenceFuzzEpisode(const FuzzEpisode &Episode,
-                               uint64_t NumEvents, uint64_t CheckEvery);
 
 /// Shrinks a failing episode to a short failing prefix: binary-searches
 /// the smallest event count whose end-of-stream check still fails.

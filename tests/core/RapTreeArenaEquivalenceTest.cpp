@@ -119,10 +119,40 @@ void expectSameHot(const std::vector<HotRange> &A,
   }
 }
 
+/// Own counters of every node in \p Nodes (preorder triples) that
+/// intersects [Lo, Hi] without lying inside it.
+uint64_t straddlingCounts(const std::vector<NodeTriple> &Nodes, uint64_t Lo,
+                          uint64_t Hi) {
+  uint64_t Total = 0;
+  for (const auto &[NodeLo, WidthBits, Count] : Nodes) {
+    uint64_t NodeHi = NodeLo + lowBitMask(WidthBits);
+    if (NodeLo <= Hi && Lo <= NodeHi && !(Lo <= NodeLo && NodeHi <= Hi))
+      Total = saturatingAdd(Total, Count);
+  }
+  return Total;
+}
+
+/// Appends the ranges of up to \p Limit nodes whose subtrees retain no
+/// weight, outermost first.
+void collectUntouched(const RapNode &Node, size_t Limit,
+                      std::vector<std::pair<uint64_t, uint64_t>> &Out) {
+  if (Out.size() == Limit)
+    return;
+  if (Node.subtreeWeight() == 0) {
+    Out.emplace_back(Node.lo(), Node.hi());
+    return;
+  }
+  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
+    if (std::optional<RapNode> Child = Node.child(Slot))
+      collectUntouched(*Child, Limit, Out);
+}
+
 /// Restores \p Live from its snapshot — a copy that answers from the
 /// subtree-sum column — and checks both trees give bit-identical
 /// answers: random and node-aligned range estimates and brackets,
 /// top-k reports at several K, and hot ranges at several fractions.
+/// On ranges the tree retains nothing inside, both trees must also
+/// estimate 0 and bracket them by exactly the straddling counters.
 void expectRestoredAnswersMatch(const RapTree &Live, uint64_t QuerySeed,
                                 const std::string &Context) {
   std::unique_ptr<RapTree> Fresh = ProfileSnapshot::capture(Live).restore();
@@ -158,6 +188,29 @@ void expectRestoredAnswersMatch(const RapTree &Live, uint64_t QuerySeed,
     EXPECT_EQ(A.Upper, B.Upper) << Context << " on [" << Lo << ", " << Hi
                                 << "]";
   }
+  std::vector<NodeTriple> Nodes;
+  collectPreorder(Live.root(), Nodes);
+  std::vector<std::pair<uint64_t, uint64_t>> Untouched;
+  collectUntouched(Live.root(), 8, Untouched);
+  for (size_t I = 0, E = Untouched.size(); I != E; ++I)
+    Untouched.emplace_back(Untouched[I].first, Untouched[I].first);
+  const RapTree *Trees[] = {&Live, Fresh.get()};
+  for (const auto &[Lo, Hi] : Untouched) {
+    uint64_t Straddling = straddlingCounts(Nodes, Lo, Hi);
+    for (const RapTree *T : Trees) {
+      const char *Which = T == &Live ? "live" : "restored";
+      EXPECT_EQ(T->estimateRange(Lo, Hi), 0u)
+          << Context << ", " << Which << " untouched [" << Lo << ", " << Hi
+          << "]";
+      RapTree::RangeBounds B = T->estimateRangeBounds(Lo, Hi);
+      EXPECT_EQ(B.Lower, 0u) << Context << ", " << Which << " untouched ["
+                             << Lo << ", " << Hi << "]";
+      EXPECT_EQ(B.Upper, Straddling) << Context << ", " << Which
+                                     << " untouched [" << Lo << ", " << Hi
+                                     << "]";
+    }
+  }
+
   for (size_t K : {size_t(1), size_t(8), size_t(Live.numNodes() + 1)})
     expectSameTopK(Live.topK(K), Fresh->topK(K),
                    Context + ", topK(" + std::to_string(K) + ")");
@@ -202,6 +255,7 @@ TEST_P(ArenaEquivalence, IdenticalStreamsProduceIdenticalTrees) {
   // Explicit merges must also agree, including the removal count.
   EXPECT_EQ(Arena.mergeNow(), Legacy.mergeNow());
   expectEquivalent(Arena, Legacy, "after final mergeNow");
+  expectRestoredAnswersMatch(Arena, P.StreamSeed, "after final mergeNow");
 }
 
 TEST_P(ArenaEquivalence, WeightedStreamsProduceIdenticalTrees) {
@@ -362,6 +416,8 @@ TEST_F(ArenaEquivalenceEdge, FullWidthUniverseExtremes) {
     Stream.emplace_back(X, 1);
   }
   feedAndCompare(Config, Stream, "64-bit universe with endpoint keys");
+  // The empty tree answers {0, 0} everywhere, whole universe included.
+  feedAndCompare(Config, {}, "empty 64-bit tree");
 }
 
 TEST_F(ArenaEquivalenceEdge, CounterSaturation) {

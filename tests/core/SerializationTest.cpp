@@ -326,9 +326,10 @@ TEST(ProfileSnapshot, BinaryV1StillLoads) {
 TEST(ProfileSnapshot, SnapshotQueriesMatchTreeQueries) {
   std::unique_ptr<RapTree> TreePtr = makePopulatedTree(7);
   RapTree &Tree = *TreePtr;
-  ProfileSnapshot Snapshot = ProfileSnapshot::capture(Tree);
-  EXPECT_EQ(Snapshot.estimateRange(0, 0xffff), Tree.estimateRange(0, 0xffff));
-  EXPECT_EQ(Snapshot.extractHotRanges(0.2).size(),
+  std::unique_ptr<RapTree> Restored = ProfileSnapshot::capture(Tree).restore();
+  ASSERT_TRUE(Restored);
+  EXPECT_EQ(Restored->estimateRange(0, 0xffff), Tree.estimateRange(0, 0xffff));
+  EXPECT_EQ(Restored->extractHotRanges(0.2).size(),
             Tree.extractHotRanges(0.2).size());
 }
 

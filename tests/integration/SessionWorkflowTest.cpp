@@ -76,7 +76,8 @@ TEST(SessionWorkflow, MultiProfileCollectionAndOfflineAnalysis) {
     uint64_t Mask = Tree.config().RangeBits == 64
                         ? ~uint64_t(0)
                         : (uint64_t(1) << Tree.config().RangeBits) - 1;
-    EXPECT_EQ(Loaded->estimateRange(0, Mask), Tree.numEvents()) << Name;
+    EXPECT_EQ(Loaded->restore()->estimateRange(0, Mask), Tree.numEvents())
+        << Name;
   }
 
   // 4. Offline coverage analysis on the stored value profile matches

@@ -23,9 +23,9 @@
 //       --metric-tolerance, the per-variant "metrics" map is gated
 //       too: each baseline metric must exist in the candidate within
 //       T * max(|baseline|, 1) — useful for pinning machine-independent
-//       quality numbers (cold_rate, recall) tighter than wall-clock
-//       throughput. Exit 0 when the candidate passes, 1 when it
-//       regresses.
+//       quality numbers (topk_recall, node_reduction) tighter than
+//       wall-clock throughput. Exit 0 when the candidate passes, 1
+//       when it regresses.
 //
 // Exit 2 for usage or I/O errors, so scripts can tell "perf regressed"
 // from "could not run the check".

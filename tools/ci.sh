@@ -14,10 +14,7 @@
 #      the fault regime (node/byte budgets, deterministic alloc
 #      failures, snapshot corruption battery), the admission
 #      regime (randomized split-admission tree cross-checked against
-#      an admission-off twin fed the identical stream), and the fence
-#      regime (cold-range fence tree vs a fence-off twin: bit-equal
-#      answers, every provably-cold verdict checked against the
-#      unfenced walk)
+#      an admission-off twin fed the identical stream)
 #   5. ThreadSanitizer build + the `concurrency` ctest label (the
 #      threaded ShardedRapSession suite and bench_parallel smoke) plus
 #      a 25-episode sharded fuzz slice — concurrent ingest threads
@@ -29,15 +26,17 @@
 #   7. when clang++ is installed: a clang build of rap_core with
 #      -Wthread-safety, the independent check of the same lock
 #      annotations rap_lint verifies
-#   8. non-gating perf leg: bench_run, bench_parallel and
-#      bench_admission --smoke plus the full bench_query run (a few
-#      seconds) through the bench_diff schema check, schema checks of
-#      the pinned BENCH_parallel.json, BENCH_admission.json and
-#      BENCH_query.json, plus timing-tolerant diffs of the smoke
-#      numbers against the pinned BENCH_core.json and of the full
-#      query run against BENCH_query.json (timings on unpinned CI
-#      machines are advisory; only the schema checks and bench_query's
-#      own answer checksum can fail the run)
+#   8. the repository benchmark's self-test (rapbench/run.py
+#      --self-test): builds rapbench from the checkout's src/, runs
+#      every workload small, and checks every declared metric plus
+#      that an injected wrong exact count is caught
+#   9. non-gating perf leg: bench_run, bench_parallel and
+#      bench_admission --smoke through the bench_diff schema check,
+#      schema checks of the pinned BENCH_parallel.json and
+#      BENCH_admission.json, plus a timing-tolerant diff of the smoke
+#      numbers against the pinned BENCH_core.json (timings on unpinned
+#      CI machines are advisory; only the schema checks can fail the
+#      run)
 #
 # Usage: tools/ci.sh [jobs]     (from the repo root; default jobs = nproc)
 #
@@ -78,9 +77,6 @@ step "fault fuzz slice (budgets + alloc failures + snapshot battery, ASan)"
 step "admission fuzz slice (gated splits vs admission-off twin, ASan)"
 ./build-asan/tools/rap_fuzz --admission --episodes=25 --seed=1 --events=8000
 
-step "fence fuzz slice (cold-range fence vs fence-off twin, ASan)"
-./build-asan/tools/rap_fuzz --fence --episodes=25 --seed=1 --events=8000
-
 step "ThreadSanitizer build + concurrency label + sharded fuzz slice"
 cmake -B build-tsan -S . -DRAP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS"
@@ -109,6 +105,9 @@ else
   step "clang -Wthread-safety leg skipped (no clang++ on PATH)"
 fi
 
+step "repository benchmark self-test (rapbench, all workloads small)"
+python3 rapbench/run.py --self-test
+
 step "bench smoke + schema check (perf numbers non-gating)"
 ./build/bench/bench_run --smoke --out=build/BENCH_smoke.json
 ./build/tools/bench_diff --check build/BENCH_smoke.json
@@ -119,16 +118,10 @@ step "bench smoke + schema check (perf numbers non-gating)"
     --out=build/BENCH_admission_smoke.json
 ./build/tools/bench_diff --check build/BENCH_admission_smoke.json
 ./build/tools/bench_diff --check BENCH_admission.json
-./build/bench/bench_query --out=build/BENCH_query_full.json
-./build/tools/bench_diff --check build/BENCH_query_full.json
-./build/tools/bench_diff --check BENCH_query.json
 # Advisory only: smoke timings on a shared machine are noise, but a
 # catastrophic slowdown is still worth a line in the log.
 ./build/tools/bench_diff BENCH_core.json build/BENCH_smoke.json \
     --max-regress=0.90 ||
   echo "WARNING: smoke numbers far below the pinned baseline (non-gating)"
-./build/tools/bench_diff BENCH_query.json build/BENCH_query_full.json \
-    --max-regress=0.90 ||
-  echo "WARNING: query numbers far below the pinned baseline (non-gating)"
 
 step "CI matrix green"

@@ -37,14 +37,6 @@
 // the checked properties are interleaving-independent, the
 // interleaving itself is not.
 //
-// --fence derives each episode with the cold-range fence enabled
-// (sometimes layered with the admission gate and/or a resource
-// budget, both deterministic per tree) and cross-checks a fence-OFF
-// twin fed the identical stream: every estimate, bracket, and top-k
-// report must match bit for bit, and any range the fenced tree
-// proves cold must retain zero weight on the unfenced walk. Replays
-// need --fence too.
-//
 // --admission derives each episode with the randomized split
 // admission gate enabled (a drawn coarseness and admission seed) and
 // runs the admission-ON tree through the full oracle battery — which
@@ -88,8 +80,6 @@ void describeEpisode(const FuzzEpisode &E) {
   if (E.Config.EnableAdmission)
     std::printf("  admission: coarseness=%.1f seed=0x%" PRIx64 "\n",
                 E.Config.AdmissionCoarseness, E.Config.AdmissionSeed);
-  if (E.FenceTwin)
-    std::printf("  fence: twin cross-check (fenced vs unfenced)\n");
 }
 
 void printViolations(const FuzzReport &Report, uint64_t Limit) {
@@ -127,9 +117,6 @@ int main(int Argc, char **Argv) {
   Args.addBool("admission",
                "fuzz the randomized split-admission gate against an "
                "admission-off twin fed the identical stream");
-  Args.addBool("fence",
-               "fuzz the cold-range fence against a fence-off twin fed "
-               "the identical stream (bit-exact query equivalence)");
   Args.addBool("verbose", "describe every episode, not just failures");
   if (!Args.parse(Argc, Argv))
     return 2;
@@ -141,12 +128,9 @@ int main(int Argc, char **Argv) {
   bool Faults = Args.getBool("faults");
   bool Sharded = Args.getBool("sharded");
   bool Admission = Args.getBool("admission");
-  bool Fence = Args.getBool("fence");
-  if (int(Arena) + int(Faults) + int(Sharded) + int(Admission) +
-          int(Fence) > 1) {
-    std::fprintf(stderr,
-                 "rap_fuzz: --arena, --faults, --sharded, --admission, "
-                 "and --fence are exclusive\n");
+  if (int(Arena) + int(Faults) + int(Sharded) + int(Admission) > 1) {
+    std::fprintf(stderr, "rap_fuzz: --arena, --faults, --sharded, and "
+                         "--admission are exclusive\n");
     return 2;
   }
   auto Derive = [&](uint64_t Index) {
@@ -154,13 +138,11 @@ int main(int Argc, char **Argv) {
            : Faults    ? deriveFaultEpisode(Seed, Index)
            : Arena     ? deriveArenaEpisode(Seed, Index)
            : Admission ? deriveAdmissionEpisode(Seed, Index)
-           : Fence     ? deriveFenceEpisode(Seed, Index)
                        : deriveEpisode(Seed, Index);
   };
   auto Run = [&](const FuzzEpisode &E, uint64_t Events, uint64_t Every) {
     return Sharded     ? runShardedFuzzEpisode(E, Events)
            : Admission ? runAdmissionFuzzEpisode(E, Events, Every)
-           : Fence     ? runFenceFuzzEpisode(E, Events, Every)
                        : runFuzzEpisode(E, Events, Every);
   };
 
@@ -206,7 +188,6 @@ int main(int Argc, char **Argv) {
                 : Faults    ? " --faults"
                 : Arena     ? " --arena"
                 : Admission ? " --admission"
-                : Fence     ? " --fence"
                             : "",
                 Seed, I, Minimal);
   }

@@ -379,7 +379,7 @@ int runSelfTest() {
   // Both profiles must agree on the whole-universe count and find hot
   // ranges; their divergence must be small (same stream).
   if (Reloaded->numEvents() != Coarse->numEvents() ||
-      Reloaded->extractHotRanges(0.1).empty()) {
+      Reloaded->restore()->extractHotRanges(0.1).empty()) {
     std::fprintf(stderr, "selftest: inconsistent profiles\n");
     return 1;
   }
