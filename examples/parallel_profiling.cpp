@@ -16,8 +16,10 @@
 /// This is the one-tree-per-thread pattern, right when each thread's
 /// stream is its own and queries can wait for the end. When many
 /// threads feed ONE logical profile and queries run mid-stream, use
-/// core/ShardedRapSession instead: hash-sharded mutex-per-shard
-/// ingest with a watermark combiner, same absorb-based guarantee.
+/// core/ShardedRapSession instead: the same one-tree-per-thread shape,
+/// but each thread hands its delta to a shared combined tree whenever
+/// the delta crosses a watermark, so readers see the profile while it
+/// grows; same absorb-based guarantee.
 ///
 /// Usage:
 ///   ./build/examples/parallel_profiling --threads=4

@@ -285,19 +285,23 @@ bool rap::validateBenchReport(const BenchReport &Report,
     }
 
     // The recorded headline speedup must match the variant data: best
-    // non-legacy throughput over legacy throughput.
-    const BenchVariant *Legacy = findVariant(W, "legacy");
-    if (!Legacy) {
-      Problems.push_back(format("workload \"%s\": no \"legacy\" variant to "
-                                "compare against",
+    // throughput of the other variants over the baseline's. The
+    // baseline is "legacy", or "single" (one arena tree on one
+    // thread) in bench_parallel's reports.
+    const BenchVariant *Baseline = findVariant(W, "legacy");
+    if (!Baseline)
+      Baseline = findVariant(W, "single");
+    if (!Baseline) {
+      Problems.push_back(format("workload \"%s\": no \"legacy\" variant (or "
+                                "\"single\") to compare against",
                                 N.c_str()));
-    } else if (Legacy->EventsPerSec > 0.0) {
+    } else if (Baseline->EventsPerSec > 0.0) {
       double Best = 0.0;
       for (const BenchVariant &V : W.Variants)
-        if (V.Name != "legacy" && V.EventsPerSec > Best)
+        if (&V != Baseline && V.EventsPerSec > Best)
           Best = V.EventsPerSec;
       if (Best > 0.0) {
-        double Expected = Best / Legacy->EventsPerSec;
+        double Expected = Best / Baseline->EventsPerSec;
         double Tolerance = 1e-6 * std::max(1.0, Expected);
         if (std::fabs(Expected - W.SpeedupVsLegacy) > Tolerance)
           Problems.push_back(

@@ -65,9 +65,10 @@ struct BenchWorkload {
   double Epsilon = 0.0;
   uint64_t Events = 0; ///< Raw events fed to every variant.
   std::vector<BenchVariant> Variants;
-  /// Best non-legacy events/sec divided by legacy events/sec; the
-  /// headline "after vs before" number. Recomputed (and cross-checked
-  /// against the recorded value) by validateBenchReport.
+  /// Best non-baseline events/sec divided by the baseline's, where the
+  /// baseline is the "legacy" variant ("single" in bench_parallel's
+  /// reports); the headline "after vs before" number. Recomputed (and
+  /// cross-checked against the recorded value) by validateBenchReport.
   double SpeedupVsLegacy = 0.0;
 };
 

@@ -723,7 +723,7 @@ FuzzReport rap::runShardedFuzzEpisode(const FuzzEpisode &Episode,
   // Range checks that hold for EVERY interleaving and merge schedule
   // (the statistical eps-accuracy model is the single-threaded fuzz
   // legs' job; its slack terms depend on the merge history, which
-  // sharded combining multiplies): a duplicated shard delta breaks
+  // sharded combining multiplies): a duplicated slot delta breaks
   // the lower bound, a lost or torn one breaks conservation above or
   // the bracket upper below.
   Rng QueryRng(Episode.StreamSeed ^ 0x27d4eb2f165667c5ULL);

@@ -125,9 +125,10 @@ struct FuzzEpisode {
 
   /// Sharded-mode parameters (rap_fuzz --sharded). ShardThreads > 0
   /// marks a sharded episode: that many ingest threads drive one
-  /// ShardedRapSession with SessionShards shards and an automatic
-  /// combine watermark of ShardCombineEvery (0 = manual combines
-  /// only, a final combineNow before checking).
+  /// ShardedRapSession with SessionShards producer slots (fewer slots
+  /// than threads makes threads share a delta) and an automatic
+  /// per-slot drain watermark of ShardCombineEvery (0 = manual
+  /// combines only, a final combineNow before checking).
   unsigned ShardThreads = 0;
   unsigned SessionShards = 0;
   uint64_t ShardCombineEvery = 0;
@@ -152,8 +153,8 @@ FuzzEpisode deriveArenaEpisode(uint64_t MasterSeed, uint64_t Index);
 FuzzEpisode deriveFaultEpisode(uint64_t MasterSeed, uint64_t Index);
 
 /// Like deriveEpisode (identical config/stream for the same inputs)
-/// but additionally draws a thread count, shard count, and combine
-/// watermark for concurrent ingest through ShardedRapSession.
+/// but additionally draws a thread count, producer-slot count, and
+/// drain watermark for concurrent ingest through ShardedRapSession.
 FuzzEpisode deriveShardedEpisode(uint64_t MasterSeed, uint64_t Index);
 
 /// Like deriveEpisode (identical config/stream for the same inputs)
@@ -194,7 +195,7 @@ FuzzReport runFuzzEpisode(const FuzzEpisode &Episode, uint64_t NumEvents,
 /// whole-universe estimate must equal it, range estimates must be
 /// lower bounds, and estimate brackets must contain the exact count.
 /// The interleaving is nondeterministic; every checked property holds
-/// for every interleaving, which is the point — a duplicated shard
+/// for every interleaving, which is the point — a duplicated slot
 /// delta breaks the lower bound, a lost or torn one breaks
 /// conservation. (The statistical eps-accuracy model stays with the
 /// single-threaded fuzz legs: its slack terms depend on the merge

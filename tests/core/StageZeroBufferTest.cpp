@@ -56,8 +56,9 @@ void runAgainstReference(uint64_t Capacity,
     TotalRaw += Weight;
     Window[Event] += Weight;
     EXPECT_EQ(Buffer.size(), Window.size());
-    if (Capacity != 0)
+    if (Capacity != 0) {
       EXPECT_EQ(Full, Window.size() >= Capacity);
+    }
     if (Full)
       CheckDrain();
   }

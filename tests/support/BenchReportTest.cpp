@@ -237,6 +237,22 @@ TEST(BenchReport, ValidateCatchesSchemaViolations) {
   }
 }
 
+TEST(BenchReport, SingleVariantIsTheBaselineWithoutLegacy) {
+  // bench_parallel's baseline is "single" (one arena tree, one
+  // thread); the headline speedup is checked against it the same way.
+  BenchReport Report = parseOrDie(BaselineFixture);
+  for (BenchWorkload &W : Report.Workloads)
+    for (BenchVariant &V : W.Variants)
+      if (V.Name == "legacy")
+        V.Name = "single";
+  std::vector<std::string> Problems;
+  EXPECT_TRUE(validateBenchReport(Report, Problems))
+      << (Problems.empty() ? "" : Problems.front());
+  Report.Workloads[0].SpeedupVsLegacy = 9.0;
+  Problems.clear();
+  EXPECT_FALSE(validateBenchReport(Report, Problems));
+}
+
 TEST(BenchReport, DiffAcceptsHealthyCandidate) {
   // Golden "after": uniform/arena got faster, everything else equal.
   BenchReport Baseline = parseOrDie(BaselineFixture);

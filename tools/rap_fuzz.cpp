@@ -27,9 +27,10 @@
 // battery: binary round-trip plus seeded corruption and truncation
 // probes, all of which must be rejected. Replays need --faults too.
 //
-// --sharded derives each episode with a thread count, shard count,
-// and combine watermark, and drives a ShardedRapSession from that
-// many concurrent ingest threads; the merged profile is cross-checked
+// --sharded derives each episode with a thread count (2-4), a
+// producer-slot count (1-16, so threads sometimes share a delta) and
+// a drain watermark, and drives a ShardedRapSession from that many
+// concurrent ingest threads; the merged profile is cross-checked
 // against a sequential ExactProfiler replay of the same sub-streams
 // (exact weight conservation, range lower bounds, brackets).
 // Intended to run both plain and under -DRAP_SANITIZE=thread (the
@@ -74,7 +75,7 @@ void describeEpisode(const FuzzEpisode &E) {
                 E.Config.effectiveNodeBudget(), E.Config.MaxNodes,
                 E.Config.MaxMemoryBytes, E.AllocFailEvery);
   if (E.ShardThreads != 0)
-    std::printf("  sharded: threads=%u shards=%u combine-every=%" PRIu64
+    std::printf("  sharded: threads=%u slots=%u combine-every=%" PRIu64
                 "\n",
                 E.ShardThreads, E.SessionShards, E.ShardCombineEvery);
   if (E.Config.EnableAdmission)
