@@ -7,6 +7,7 @@
 
 #include "core/Serialization.h"
 
+#include "support/BitUtils.h"
 #include "support/Crc32.h"
 #include "support/FailPoint.h"
 
@@ -17,7 +18,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 using namespace rap;
 
@@ -27,39 +27,38 @@ constexpr char Magic[4] = {'R', 'A', 'P', 'P'};
 constexpr char TailMagic[4] = {'P', 'R', 'A', 'R'};
 constexpr uint32_t FormatVersion = 4;
 
-void writeU32(std::ostream &OS, uint32_t Value) {
-  unsigned char Bytes[4];
-  for (int I = 0; I != 4; ++I)
-    Bytes[I] = static_cast<unsigned char>(Value >> (8 * I));
-  OS.write(reinterpret_cast<const char *>(Bytes), 4);
-}
+constexpr size_t HeaderBytes = 130; // version 4, magic..numNodes
+constexpr size_t NodeBytes = 17;    // u64 lo, u8 widthBits, u64 count
+constexpr size_t FooterBytes = 8;   // u32 crc32, tail magic
 
-void writeU64(std::ostream &OS, uint64_t Value) {
-  unsigned char Bytes[8];
-  for (int I = 0; I != 8; ++I)
-    Bytes[I] = static_cast<unsigned char>(Value >> (8 * I));
-  OS.write(reinterpret_cast<const char *>(Bytes), 8);
-}
+/// Appends little-endian fields to a buffer sized up front.
+class ByteWriter {
+public:
+  explicit ByteWriter(unsigned char *Out) : P(Out) {}
 
-void writeF64(std::ostream &OS, double Value) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &Value, sizeof(Bits));
-  writeU64(OS, Bits);
-}
+  void bytes(const char *Data, size_t Size) {
+    std::memcpy(P, Data, Size);
+    P += Size;
+  }
+  void u8(uint8_t Value) { *P++ = Value; }
+  void u32(uint32_t Value) {
+    storeLe32(P, Value);
+    P += 4;
+  }
+  void u64(uint64_t Value) {
+    storeLe64(P, Value);
+    P += 8;
+  }
+  void f64(double Value) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &Value, sizeof(Bits));
+    u64(Bits);
+  }
+  unsigned char *pos() const { return P; }
 
-void writeU8(std::ostream &OS, uint8_t Value) {
-  OS.put(static_cast<char>(Value));
-}
-
-bool readU32(std::istream &IS, uint32_t &Value) {
-  unsigned char Bytes[4];
-  if (!IS.read(reinterpret_cast<char *>(Bytes), 4))
-    return false;
-  Value = 0;
-  for (int I = 3; I >= 0; --I)
-    Value = (Value << 8) | Bytes[I];
-  return true;
-}
+private:
+  unsigned char *P;
+};
 
 /// Wraps an istream and folds every byte read into a running CRC-32,
 /// so readBinary can verify the version-3 footer without buffering
@@ -68,7 +67,15 @@ class CrcIn {
 public:
   explicit CrcIn(std::istream &Stream) : IS(Stream) {}
 
+  /// Reads \p Size bytes and folds them into the checksum. A read
+  /// longer than one chunk of node records fails, so no length taken
+  /// from the stream can drive it further; the bound is a literal so
+  /// rap_lint's value-range pass can see it.
   bool read(void *Buffer, size_t Size) {
+    constexpr size_t MaxBytes = 4096 * 17;
+    static_assert(MaxBytes == ProfileSnapshot::ReadChunkNodes * NodeBytes);
+    if (Size > MaxBytes)
+      return false;
     if (!IS.read(static_cast<char *>(Buffer),
                  static_cast<std::streamsize>(Size)))
       return false;
@@ -77,7 +84,6 @@ public:
   }
 
   uint32_t crc() const { return Sum.value(); }
-  std::istream &stream() { return IS; }
 
 private:
   std::istream &IS;
@@ -88,9 +94,7 @@ bool readU32(CrcIn &IS, uint32_t &Value) {
   unsigned char Bytes[4];
   if (!IS.read(Bytes, 4))
     return false;
-  Value = 0;
-  for (int I = 3; I >= 0; --I)
-    Value = (Value << 8) | Bytes[I];
+  Value = loadLe32(Bytes);
   return true;
 }
 
@@ -98,9 +102,7 @@ bool readU64(CrcIn &IS, uint64_t &Value) {
   unsigned char Bytes[8];
   if (!IS.read(Bytes, 8))
     return false;
-  Value = 0;
-  for (int I = 7; I >= 0; --I)
-    Value = (Value << 8) | Bytes[I];
+  Value = loadLe64(Bytes);
   return true;
 }
 
@@ -178,46 +180,53 @@ std::unique_ptr<RapTree> ProfileSnapshot::restore() const {
 }
 
 bool ProfileSnapshot::writeBinary(std::ostream &OS) const {
-  // Serialize the body first so the footer checksum covers exactly
-  // the bytes on the wire, magic included.
-  std::ostringstream Body;
-  Body.write(Magic, 4);
-  writeU32(Body, FormatVersion);
-  writeU32(Body, Config.RangeBits);
-  writeU32(Body, Config.BranchFactor);
-  writeF64(Body, Config.Epsilon);
-  writeF64(Body, Config.MergeRatio);
-  writeU64(Body, Config.InitialMergeInterval);
-  writeF64(Body, Config.MergeThresholdScale);
-  writeU8(Body, Config.EnableMerges ? 1 : 0);
-  writeU64(Body, Config.MaxNodes);
-  writeU64(Body, Config.MaxMemoryBytes);
-  writeU8(Body, Config.EnableAdmission ? 1 : 0);
-  writeF64(Body, Config.AdmissionCoarseness);
-  writeU64(Body, Config.AdmissionSeed);
-  writeU64(Body, NumEvents);
-  writeU64(Body, NextMergeAt);
-  writeU64(Body, AdmissionRngState);
-  writeU64(Body, AdmissionDeferredWeight);
-  writeU64(Body, AdmissionDeniedSplits);
-  writeU64(Body, Nodes.size());
+  // Encode the whole image into one buffer, so the footer checksum
+  // covers exactly the bytes on the wire, magic included, and the
+  // stream sees a single write.
+  std::unique_ptr<unsigned char[]> Image =
+      std::make_unique_for_overwrite<unsigned char[]>(
+          HeaderBytes + Nodes.size() * NodeBytes + FooterBytes);
+  ByteWriter Out(Image.get());
+  Out.bytes(Magic, 4);
+  Out.u32(FormatVersion);
+  Out.u32(Config.RangeBits);
+  Out.u32(Config.BranchFactor);
+  Out.f64(Config.Epsilon);
+  Out.f64(Config.MergeRatio);
+  Out.u64(Config.InitialMergeInterval);
+  Out.f64(Config.MergeThresholdScale);
+  Out.u8(Config.EnableMerges ? 1 : 0);
+  Out.u64(Config.MaxNodes);
+  Out.u64(Config.MaxMemoryBytes);
+  Out.u8(Config.EnableAdmission ? 1 : 0);
+  Out.f64(Config.AdmissionCoarseness);
+  Out.u64(Config.AdmissionSeed);
+  Out.u64(NumEvents);
+  Out.u64(NextMergeAt);
+  Out.u64(AdmissionRngState);
+  Out.u64(AdmissionDeferredWeight);
+  Out.u64(AdmissionDeniedSplits);
+  Out.u64(Nodes.size());
+  assert(Out.pos() == Image.get() + HeaderBytes && "header size");
   for (const Node &N : Nodes) {
-    writeU64(Body, N.Lo);
-    writeU8(Body, N.WidthBits);
-    writeU64(Body, N.Count);
+    Out.u64(N.Lo);
+    Out.u8(N.WidthBits);
+    Out.u64(N.Count);
   }
-  const std::string Bytes = Body.str();
+  const size_t BodyBytes = static_cast<size_t>(Out.pos() - Image.get());
   if (RAP_FAILPOINT_HIT(failpoints::Fp::SnapshotWrite)) {
     // Simulate a torn write: half the body reaches the stream, then
     // the device fails. No footer is ever written, so readers reject
     // the result.
-    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size() / 2));
+    OS.write(reinterpret_cast<const char *>(Image.get()),
+             static_cast<std::streamsize>(BodyBytes / 2));
     OS.setstate(std::ios::failbit);
     return false;
   }
-  OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-  writeU32(OS, crc32(Bytes.data(), Bytes.size()));
-  OS.write(TailMagic, 4);
+  Out.u32(crc32(Image.get(), BodyBytes));
+  Out.bytes(TailMagic, 4);
+  OS.write(reinterpret_cast<const char *>(Image.get()),
+           static_cast<std::streamsize>(BodyBytes + FooterBytes));
   return static_cast<bool>(OS);
 }
 
@@ -295,30 +304,43 @@ ProfileSnapshot::readBinary(std::istream &IS, std::string *Error,
   if (NumNodes == 0 || NumNodes > (uint64_t(1) << 32))
     return Fail("implausible node count");
 
+  // Decode the node records a bounded chunk at a time: NumNodes is
+  // untrusted until the records have actually been read, so neither
+  // the buffers nor the reads ever run more than one chunk ahead. The
+  // sizes are literals so rap_lint's value-range pass bounds the read.
+  constexpr uint64_t ChunkNodes = 4096;
+  constexpr size_t RecordBytes = 17;
+  static_assert(ChunkNodes == ReadChunkNodes && RecordBytes == NodeBytes);
+  const uint64_t FirstChunk = NumNodes < ChunkNodes ? NumNodes : ChunkNodes;
+  std::vector<unsigned char> Chunk(static_cast<size_t>(FirstChunk) *
+                                   RecordBytes);
   std::vector<Node> Nodes;
-  // Grow incrementally: NumNodes is untrusted until the records have
-  // actually been read, so never pre-reserve more than a small bound.
-  Nodes.reserve(static_cast<size_t>(
-      std::min<uint64_t>(NumNodes, uint64_t(1) << 16)));
-  for (uint64_t I = 0; I != NumNodes; ++I) {
-    Node N;
-    if (!readU64(In, N.Lo) || !readU8(In, N.WidthBits) ||
-        !readU64(In, N.Count))
+  Nodes.reserve(static_cast<size_t>(FirstChunk));
+  for (uint64_t Left = NumNodes; Left != 0;) {
+    const uint64_t Count = Left < ChunkNodes ? Left : ChunkNodes;
+    if (!In.read(Chunk.data(), static_cast<size_t>(Count) * RecordBytes))
       return Fail("truncated node list");
-    if (N.WidthBits > 64)
-      return Fail("corrupt node record (width out of range)");
-    Nodes.push_back(N);
+    const unsigned char *P = Chunk.data();
+    for (uint64_t I = 0; I != Count; ++I, P += RecordBytes) {
+      Node N;
+      N.Lo = loadLe64(P);
+      N.WidthBits = P[8];
+      N.Count = loadLe64(P + 9);
+      if (N.WidthBits > 64)
+        return Fail("corrupt node record (width out of range)");
+      Nodes.push_back(N);
+    }
+    Left -= Count;
   }
 
   if (Version >= 3) {
     const uint32_t Expected = In.crc();
-    uint32_t Stored;
-    char TailBuffer[4];
-    if (!readU32(IS, Stored) || !IS.read(TailBuffer, 4))
+    unsigned char Footer[FooterBytes];
+    if (!IS.read(reinterpret_cast<char *>(Footer), 8))
       return Fail("truncated profile footer");
-    if (std::memcmp(TailBuffer, TailMagic, 4) != 0)
+    if (std::memcmp(Footer + 4, TailMagic, 4) != 0)
       return Fail("corrupt profile footer (bad tail magic)");
-    if (Stored != Expected)
+    if (loadLe32(Footer) != Expected)
       return Fail("profile checksum mismatch");
   }
 

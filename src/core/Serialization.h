@@ -30,6 +30,10 @@
 ///   presence is reconstructed structurally from preorder + ranges,
 ///   footer { u32 crc32 of magic..last node byte, tail magic "PRAR" }.
 ///
+/// The codec does not change the layout: the writer encodes the whole
+/// image into one buffer and the reader decodes node records in chunks
+/// of ReadChunkNodes, and neither size is part of the format.
+///
 /// The admission fields (new in version 4) carry the randomized split
 /// admission gate across a save/load: the RNG position plus the two
 /// deferred-split counters, so a restored tree continues the identical
@@ -82,6 +86,11 @@ public:
     uint8_t WidthBits = 0;
     uint64_t Count = 0;
   };
+
+  /// Node records readBinary decodes per stream read. An untrusted
+  /// node count never makes it reserve or read more than this ahead
+  /// of the records actually present.
+  static constexpr uint64_t ReadChunkNodes = 4096;
 
   /// Captures the current state of \p Tree.
   static ProfileSnapshot capture(const RapTree &Tree);

@@ -15,8 +15,10 @@
 #ifndef RAP_SUPPORT_BITUTILS_H
 #define RAP_SUPPORT_BITUTILS_H
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 
 namespace rap {
 
@@ -78,6 +80,36 @@ constexpr uint64_t saturatingMul(uint64_t A, uint64_t B) {
     return 0;
   uint64_t Product = A * B;
   return Product / A != B ? ~uint64_t(0) : Product;
+}
+
+/// Little-endian loads and stores for the binary trace and profile
+/// codecs. On little-endian hosts each is one unaligned move.
+inline uint32_t loadLe32(const unsigned char *P) {
+  uint32_t Value = 0;
+  std::memcpy(&Value, P, sizeof(Value));
+  if constexpr (std::endian::native == std::endian::big)
+    Value = __builtin_bswap32(Value);
+  return Value;
+}
+
+inline uint64_t loadLe64(const unsigned char *P) {
+  uint64_t Value = 0;
+  std::memcpy(&Value, P, sizeof(Value));
+  if constexpr (std::endian::native == std::endian::big)
+    Value = __builtin_bswap64(Value);
+  return Value;
+}
+
+inline void storeLe32(unsigned char *P, uint32_t Value) {
+  if constexpr (std::endian::native == std::endian::big)
+    Value = __builtin_bswap32(Value);
+  std::memcpy(P, &Value, sizeof(Value));
+}
+
+inline void storeLe64(unsigned char *P, uint64_t Value) {
+  if constexpr (std::endian::native == std::endian::big)
+    Value = __builtin_bswap64(Value);
+  std::memcpy(P, &Value, sizeof(Value));
 }
 
 } // namespace rap

@@ -8,7 +8,8 @@
 /// \file
 /// CRC-32 (the reflected IEEE 802.3 polynomial 0xEDB88320, the same
 /// checksum zlib and ethernet use) for the crash-safe snapshot footer.
-/// Table-driven, no dependencies; one-shot and incremental forms.
+/// Slice-by-8 table-driven, no dependencies; one-shot and incremental
+/// forms.
 ///
 //===----------------------------------------------------------------------===//
 

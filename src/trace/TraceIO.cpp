@@ -7,6 +7,7 @@
 
 #include "trace/TraceIO.h"
 
+#include "support/BitUtils.h"
 #include "support/FailPoint.h"
 
 #include <cassert>
@@ -23,46 +24,25 @@ constexpr uint32_t FormatVersion = 1;
 constexpr uint8_t FlagHasLoad = 1;
 constexpr uint8_t FlagNarrowOperand = 2;
 
-void writeU32(std::ostream &OS, uint32_t Value) {
-  unsigned char Bytes[4];
-  for (int I = 0; I != 4; ++I)
-    Bytes[I] = static_cast<unsigned char>(Value >> (8 * I));
-  OS.write(reinterpret_cast<const char *>(Bytes), 4);
-}
-
-void writeU64(std::ostream &OS, uint64_t Value) {
-  unsigned char Bytes[8];
-  for (int I = 0; I != 8; ++I)
-    Bytes[I] = static_cast<unsigned char>(Value >> (8 * I));
-  OS.write(reinterpret_cast<const char *>(Bytes), 8);
-}
-
-bool readU32(std::istream &IS, uint32_t &Value) {
-  unsigned char Bytes[4];
-  if (!IS.read(reinterpret_cast<char *>(Bytes), 4))
-    return false;
-  Value = 0;
-  for (int I = 3; I >= 0; --I)
-    Value = (Value << 8) | Bytes[I];
-  return true;
-}
-
-bool readU64(std::istream &IS, uint64_t &Value) {
-  unsigned char Bytes[8];
-  if (!IS.read(reinterpret_cast<char *>(Bytes), 8))
-    return false;
-  Value = 0;
-  for (int I = 7; I >= 0; --I)
-    Value = (Value << 8) | Bytes[I];
-  return true;
-}
+constexpr size_t HeaderBytes = 16;      // magic, version, record count
+constexpr size_t CountOffset = 8;       // the record count in the header
+constexpr size_t PlainRecordBytes = 13; // pc, length, flags
+constexpr size_t LoadRecordBytes = 29;  // ... address, value
 
 } // namespace
 
-TraceWriter::TraceWriter(std::ostream &Out) : OS(Out) {
-  OS.write(Magic, 4);
-  writeU32(OS, FormatVersion);
-  writeU64(OS, 0); // Record count placeholder, patched by finish().
+TraceWriter::TraceWriter(std::ostream &Out)
+    : OS(Out), Block(TraceBlockBytes) {
+  std::memcpy(Block.data(), Magic, 4);
+  storeLe32(Block.data() + 4, FormatVersion);
+  storeLe64(Block.data() + CountOffset, 0); // Patched by finish().
+  Used = HeaderBytes;
+}
+
+void TraceWriter::writeBlock() {
+  OS.write(reinterpret_cast<const char *>(Block.data()),
+           static_cast<std::streamsize>(Used));
+  Used = 0;
 }
 
 void TraceWriter::append(const TraceRecord &Record) {
@@ -71,14 +51,19 @@ void TraceWriter::append(const TraceRecord &Record) {
   // full disk would, which finish() then reports.
   if (RAP_FAILPOINT_HIT(failpoints::Fp::TraceWrite))
     OS.setstate(std::ios::failbit);
-  writeU64(OS, Record.BlockPc);
-  writeU32(OS, Record.BlockLength);
-  uint8_t Flags = (Record.HasLoad ? FlagHasLoad : 0) |
-                  (Record.NarrowOperand ? FlagNarrowOperand : 0);
-  OS.put(static_cast<char>(Flags));
+  if (TraceBlockBytes - Used < LoadRecordBytes)
+    writeBlock();
+  unsigned char *P = Block.data() + Used;
+  storeLe64(P, Record.BlockPc);
+  storeLe32(P + 8, Record.BlockLength);
+  P[12] = (Record.HasLoad ? FlagHasLoad : 0) |
+          (Record.NarrowOperand ? FlagNarrowOperand : 0);
   if (Record.HasLoad) {
-    writeU64(OS, Record.LoadAddress);
-    writeU64(OS, Record.LoadValue);
+    storeLe64(P + 13, Record.LoadAddress);
+    storeLe64(P + 21, Record.LoadValue);
+    Used += LoadRecordBytes;
+  } else {
+    Used += PlainRecordBytes;
   }
   ++NumRecords;
 }
@@ -86,9 +71,12 @@ void TraceWriter::append(const TraceRecord &Record) {
 bool TraceWriter::finish() {
   assert(!Finished && "finish called twice");
   Finished = true;
+  writeBlock();
   std::ostream::pos_type End = OS.tellp();
-  OS.seekp(8); // past magic + version
-  writeU64(OS, NumRecords);
+  OS.seekp(CountOffset);
+  unsigned char Count[8];
+  storeLe64(Count, NumRecords);
+  OS.write(reinterpret_cast<const char *>(Count), 8);
   OS.seekp(End);
   OS.flush();
   // good() covers the whole stream history: a failed append (disk
@@ -96,50 +84,76 @@ bool TraceWriter::finish() {
   return OS.good();
 }
 
-TraceReader::TraceReader(std::istream &In) : IS(In) {
-  char MagicBuffer[4];
-  if (!IS.read(MagicBuffer, 4) ||
-      std::memcmp(MagicBuffer, Magic, 4) != 0) {
+TraceReader::TraceReader(std::istream &In)
+    : IS(In), Block(TraceBlockBytes + LoadRecordBytes) {
+  refill();
+  const unsigned char *P = Block.data();
+  if (End < 4 || std::memcmp(P, Magic, 4) != 0) {
     Error = "not a RAP trace (bad magic)";
     return;
   }
-  uint32_t Version;
-  if (!readU32(IS, Version) || Version != FormatVersion) {
+  if (End < 8 || loadLe32(P + 4) != FormatVersion) {
     Error = "unsupported trace format version";
     return;
   }
-  if (!readU64(IS, NumRecords)) {
+  if (End < HeaderBytes) {
     Error = "truncated trace header";
     return;
   }
+  NumRecords = loadLe64(P + CountOffset);
+  Cur = HeaderBytes;
   Valid = true;
+}
+
+void TraceReader::refill() {
+  if (StreamDone)
+    return;
+  // Only called with less than one record left undecoded, so the
+  // tail plus one block always fits.
+  const size_t Tail = End - Cur;
+  assert(Tail < LoadRecordBytes && "refill with a whole record buffered");
+  std::memmove(Block.data(), Block.data() + Cur, Tail);
+  // A literal, so rap_lint's value-range pass bounds the read.
+  constexpr size_t ReadBytes = 64 * 1024;
+  static_assert(ReadBytes == TraceBlockBytes);
+  IS.read(reinterpret_cast<char *>(Block.data() + Tail),
+          static_cast<std::streamsize>(ReadBytes));
+  Cur = 0;
+  End = Tail + static_cast<size_t>(IS.gcount());
+  // A short read means end of stream (or a failed one): stop asking.
+  StreamDone = !IS;
+}
+
+bool TraceReader::truncated() {
+  Valid = false;
+  Error = "truncated trace record";
+  return false;
 }
 
 bool TraceReader::next(TraceRecord &Record) {
   if (!Valid || Position == NumRecords)
     return false;
-  uint32_t BlockLength;
-  int FlagsChar;
-  if (!readU64(IS, Record.BlockPc) || !readU32(IS, BlockLength) ||
-      (FlagsChar = IS.get()) < 0) {
-    Valid = false;
-    Error = "truncated trace record";
-    return false;
-  }
-  Record.BlockLength = BlockLength;
-  uint8_t Flags = static_cast<uint8_t>(FlagsChar);
+  if (End - Cur < LoadRecordBytes)
+    refill();
+  const size_t Available = End - Cur;
+  if (Available < PlainRecordBytes)
+    return truncated();
+  const unsigned char *P = Block.data() + Cur;
+  const uint8_t Flags = P[12];
   Record.HasLoad = (Flags & FlagHasLoad) != 0;
+  if (Record.HasLoad && Available < LoadRecordBytes)
+    return truncated();
+  Record.BlockPc = loadLe64(P);
+  Record.BlockLength = loadLe32(P + 8);
   Record.NarrowOperand = (Flags & FlagNarrowOperand) != 0;
   if (Record.HasLoad) {
-    if (!readU64(IS, Record.LoadAddress) ||
-        !readU64(IS, Record.LoadValue)) {
-      Valid = false;
-      Error = "truncated trace record";
-      return false;
-    }
+    Record.LoadAddress = loadLe64(P + 13);
+    Record.LoadValue = loadLe64(P + 21);
+    Cur += LoadRecordBytes;
   } else {
     Record.LoadAddress = 0;
     Record.LoadValue = 0;
+    Cur += PlainRecordBytes;
   }
   ++Position;
   return true;

@@ -682,3 +682,142 @@ TEST(ProfileSnapshot, BinaryV3StillLoadsWithAdmissionDefaults) {
   EXPECT_EQ(Tree->numEvents(), 6u);
   EXPECT_EQ(Tree->nextMergeAt(), 2048u);
 }
+
+namespace {
+
+/// FNV-1a over a byte string: pins encoder output without a literal.
+uint64_t fnv1a(const std::string &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (char C : Bytes) {
+    H ^= static_cast<unsigned char>(C);
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+} // namespace
+
+TEST(ProfileSnapshot, GoldenBytesOfASmallProfile) {
+  // A profile whose every header field differs from its default,
+  // written in version 4 exactly as the original one-call-per-field
+  // writer produced it.
+  std::stringstream Text(
+      "rap-profile v4 bits=16 b=4 eps=0.05 q=2 interval=1024 scale=1.5 "
+      "merges=1 nextmerge=4096 maxnodes=96 maxbytes=1048576 admit=1 "
+      "coarse=0.25 aseed=77 arng=12345 adeferred=3 adenied=2\n"
+      "events=6 nodes=3\n"
+      "0 16 3\n"
+      "0 14 1\n"
+      "4000 14 2\n");
+  std::string Error;
+  std::unique_ptr<ProfileSnapshot> Snapshot =
+      ProfileSnapshot::readText(Text, &Error);
+  ASSERT_TRUE(Snapshot) << Error;
+  std::stringstream Stream;
+  ASSERT_TRUE(Snapshot->writeBinary(Stream));
+  const std::string Bytes = Stream.str();
+  EXPECT_EQ(Bytes.size(), 189u);
+  EXPECT_EQ(fnv1a(Bytes), 0xAC7A764361271113ull);
+}
+
+namespace {
+
+/// A uniform 16-bit stream at eps 0.001: about 19k nodes, several of
+/// readBinary's node chunks.
+ProfileSnapshot captureMultiChunkProfile() {
+  RapConfig Config = testConfig();
+  Config.Epsilon = 0.001;
+  RapTree Tree(Config);
+  Rng R(5);
+  for (int I = 0; I != 200000; ++I)
+    Tree.addPoint(R.nextBelow(1 << 16));
+  return ProfileSnapshot::capture(Tree);
+}
+
+} // namespace
+
+TEST(ProfileSnapshot, SnapshotSpanningSeveralChunksRoundTrips) {
+  ProfileSnapshot Original = captureMultiChunkProfile();
+  ASSERT_GT(Original.numNodes(), 4 * ProfileSnapshot::ReadChunkNodes);
+  std::stringstream Stream;
+  ASSERT_TRUE(Original.writeBinary(Stream));
+  const std::string Full = Stream.str();
+  Stream << "next";
+  std::string Error;
+  std::unique_ptr<ProfileSnapshot> Loaded =
+      ProfileSnapshot::readBinary(Stream, &Error);
+  ASSERT_TRUE(Loaded) << Error;
+  EXPECT_TRUE(*Loaded == Original);
+  // The reader stopped at the footer: what follows is still there.
+  std::string Rest;
+  Stream >> Rest;
+  EXPECT_EQ(Rest, "next");
+
+  // A cut at a chunk edge, and one inside a later chunk, are rejected.
+  const size_t NodesStart = 130;
+  for (size_t Cut :
+       {NodesStart + 2 * ProfileSnapshot::ReadChunkNodes * 17,
+        NodesStart + 2 * ProfileSnapshot::ReadChunkNodes * 17 + 100}) {
+    std::stringstream Truncated(Full.substr(0, Cut));
+    ProfileIoError Kind = ProfileIoError::None;
+    EXPECT_EQ(ProfileSnapshot::readBinary(Truncated, &Error, &Kind), nullptr);
+    EXPECT_EQ(Error, "truncated node list");
+    EXPECT_EQ(Kind, ProfileIoError::Corrupt);
+  }
+}
+
+TEST(ProfileSnapshot, EveryTruncationOfASmallSnapshotIsRejected) {
+  std::unique_ptr<RapTree> TreePtr = makePopulatedTree(2, 3000);
+  ProfileSnapshot Original = ProfileSnapshot::capture(*TreePtr);
+  std::stringstream Stream;
+  ASSERT_TRUE(Original.writeBinary(Stream));
+  const std::string Full = Stream.str();
+  for (size_t Cut = 0; Cut != Full.size(); ++Cut) {
+    std::stringstream Truncated(Full.substr(0, Cut));
+    std::string Error;
+    ProfileIoError Kind = ProfileIoError::None;
+    ASSERT_EQ(ProfileSnapshot::readBinary(Truncated, &Error, &Kind), nullptr)
+        << "cut at " << Cut;
+    ASSERT_EQ(Kind, ProfileIoError::Corrupt) << "cut at " << Cut;
+    ASSERT_FALSE(Error.empty());
+  }
+}
+
+TEST(ProfileSnapshot, HeaderClaimingTwoToThe32NodesOnAShortStreamIsRejected) {
+  // The largest count the plausibility cap lets through, on a stream
+  // of 100 bytes: the reader must fail on the first chunk read rather
+  // than reserve or read for four billion nodes.
+  std::string Bytes;
+  auto PutU32 = [&Bytes](uint32_t V) {
+    for (int I = 0; I != 4; ++I)
+      Bytes.push_back(static_cast<char>(V >> (8 * I)));
+  };
+  auto PutU64 = [&Bytes](uint64_t V) {
+    for (int I = 0; I != 8; ++I)
+      Bytes.push_back(static_cast<char>(V >> (8 * I)));
+  };
+  auto PutF64 = [&PutU64](double V) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &V, sizeof(Bits));
+    PutU64(Bits);
+  };
+  Bytes += "RAPP";
+  PutU32(2);          // version 2: no footer, so the count is all
+  PutU32(16);         // RangeBits
+  PutU32(4);          // BranchFactor
+  PutF64(0.05);       // Epsilon
+  PutF64(2.0);        // MergeRatio
+  PutU64(1024);       // InitialMergeInterval
+  PutF64(1.0);        // MergeThresholdScale
+  Bytes.push_back(1); // EnableMerges
+  PutU64(6);          // NumEvents
+  PutU64(4096);       // NextMergeAt
+  PutU64(uint64_t(1) << 32);
+  Bytes.resize(100, '\x01'); // one and a half node records
+  std::stringstream Stream(Bytes);
+  std::string Error;
+  ProfileIoError Kind = ProfileIoError::None;
+  EXPECT_EQ(ProfileSnapshot::readBinary(Stream, &Error, &Kind), nullptr);
+  EXPECT_EQ(Error, "truncated node list");
+  EXPECT_EQ(Kind, ProfileIoError::Corrupt);
+}

@@ -27,24 +27,28 @@ using namespace rap;
 
 namespace {
 
-std::string makeValidProfileBytes() {
+/// A profile of one node chunk at the default \p Epsilon; at 0.001 it
+/// has about 19k nodes, more than two of readBinary's chunks.
+std::string makeValidProfileBytes(double Epsilon = 0.05, int Events = 20000) {
   RapConfig Config;
   Config.RangeBits = 16;
-  Config.Epsilon = 0.05;
+  Config.Epsilon = Epsilon;
   RapTree Tree(Config);
   Rng R(1);
-  for (int I = 0; I != 20000; ++I)
+  for (int I = 0; I != Events; ++I)
     Tree.addPoint(R.nextBelow(1 << 16));
   std::ostringstream OS;
   EXPECT_TRUE(ProfileSnapshot::capture(Tree).writeBinary(OS));
   return OS.str();
 }
 
-std::string makeValidTraceBytes() {
+/// A trace of about 10 KB; 20000 records are about 400 KB, more than
+/// two of the reader's blocks.
+std::string makeValidTraceBytes(int Records = 500) {
   std::ostringstream OS;
   TraceWriter Writer(OS);
   Rng R(2);
-  for (int I = 0; I != 500; ++I) {
+  for (int I = 0; I != Records; ++I) {
     TraceRecord Record;
     Record.BlockPc = R.nextBelow(1 << 24);
     Record.BlockLength = 3 + static_cast<uint32_t>(R.nextBelow(10));
@@ -60,28 +64,30 @@ std::string makeValidTraceBytes() {
 } // namespace
 
 TEST(Robustness, MutatedProfilesNeverBreakInvariants) {
-  std::string Valid = makeValidProfileBytes();
-  Rng R(0xF0F0);
-  for (int Trial = 0; Trial != 300; ++Trial) {
-    std::string Mutated = Valid;
-    unsigned Flips = 1 + static_cast<unsigned>(R.nextBelow(4));
-    for (unsigned F = 0; F != Flips; ++F) {
-      size_t Offset = static_cast<size_t>(R.nextBelow(Mutated.size()));
-      Mutated[Offset] = static_cast<char>(R.nextBelow(256));
+  for (const std::string &Valid :
+       {makeValidProfileBytes(), makeValidProfileBytes(0.001, 200000)}) {
+    Rng R(0xF0F0);
+    for (int Trial = 0; Trial != 300; ++Trial) {
+      std::string Mutated = Valid;
+      unsigned Flips = 1 + static_cast<unsigned>(R.nextBelow(4));
+      for (unsigned F = 0; F != Flips; ++F) {
+        size_t Offset = static_cast<size_t>(R.nextBelow(Mutated.size()));
+        Mutated[Offset] = static_cast<char>(R.nextBelow(256));
+      }
+      std::istringstream IS(Mutated);
+      std::string Error;
+      std::unique_ptr<ProfileSnapshot> Snapshot =
+          ProfileSnapshot::readBinary(IS, &Error);
+      if (!Snapshot) {
+        EXPECT_FALSE(Error.empty());
+        continue;
+      }
+      // Accepted mutants must still be fully valid: restore and check
+      // the core invariant (conservation).
+      std::unique_ptr<RapTree> Tree = Snapshot->restore();
+      ASSERT_TRUE(Tree);
+      EXPECT_EQ(Tree->root().subtreeWeight(), Tree->numEvents());
     }
-    std::istringstream IS(Mutated);
-    std::string Error;
-    std::unique_ptr<ProfileSnapshot> Snapshot =
-        ProfileSnapshot::readBinary(IS, &Error);
-    if (!Snapshot) {
-      EXPECT_FALSE(Error.empty());
-      continue;
-    }
-    // Accepted mutants must still be fully valid: restore and check
-    // the core invariant (conservation).
-    std::unique_ptr<RapTree> Tree = Snapshot->restore();
-    ASSERT_TRUE(Tree);
-    EXPECT_EQ(Tree->root().subtreeWeight(), Tree->numEvents());
   }
 }
 
@@ -101,26 +107,28 @@ TEST(Robustness, RandomGarbageProfilesRejected) {
 }
 
 TEST(Robustness, MutatedTracesNeverCrashTheReader) {
-  std::string Valid = makeValidTraceBytes();
-  Rng R(0x1CE);
-  for (int Trial = 0; Trial != 300; ++Trial) {
-    std::string Mutated = Valid;
-    size_t Offset = static_cast<size_t>(R.nextBelow(Mutated.size()));
-    Mutated[Offset] = static_cast<char>(R.nextBelow(256));
-    // Also randomly truncate half the time.
-    if (R.nextBernoulli(0.5))
-      Mutated.resize(1 + R.nextBelow(Mutated.size()));
-    std::istringstream IS(Mutated);
-    TraceReader Reader(IS);
-    TraceRecord Record;
-    uint64_t Consumed = 0;
-    while (Reader.valid() && Reader.next(Record)) {
-      // Records that do parse must be self-consistent.
-      ++Consumed;
-      if (Consumed > 1000000)
-        break; // would indicate a hang; the count is bounded anyway
+  for (const std::string &Valid :
+       {makeValidTraceBytes(), makeValidTraceBytes(20000)}) {
+    Rng R(0x1CE);
+    for (int Trial = 0; Trial != 300; ++Trial) {
+      std::string Mutated = Valid;
+      size_t Offset = static_cast<size_t>(R.nextBelow(Mutated.size()));
+      Mutated[Offset] = static_cast<char>(R.nextBelow(256));
+      // Also randomly truncate half the time.
+      if (R.nextBernoulli(0.5))
+        Mutated.resize(1 + R.nextBelow(Mutated.size()));
+      std::istringstream IS(Mutated);
+      TraceReader Reader(IS);
+      TraceRecord Record;
+      uint64_t Consumed = 0;
+      while (Reader.valid() && Reader.next(Record)) {
+        // Records that do parse must be self-consistent.
+        ++Consumed;
+        if (Consumed > 1000000)
+          break; // would indicate a hang; the count is bounded anyway
+      }
+      EXPECT_LE(Consumed, 1000000u);
     }
-    EXPECT_LE(Consumed, 1000000u);
   }
 }
 

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace rap;
 
 TEST(BitUtils, IsPowerOfTwo) {
@@ -83,4 +85,19 @@ TEST(BitUtils, SaturatingMul) {
   EXPECT_EQ(saturatingMul(uint64_t(1) << 32, uint64_t(1) << 32),
             ~uint64_t(0));
   EXPECT_EQ(saturatingMul(~uint64_t(0), 2), ~uint64_t(0));
+}
+
+TEST(BitUtils, LittleEndianLoadsAndStores) {
+  const unsigned char Bytes[9] = {0xAA, 0x08, 0x07, 0x06, 0x05,
+                                  0x04, 0x03, 0x02, 0x01};
+  // Unaligned on purpose: the codecs load at any offset.
+  EXPECT_EQ(loadLe32(Bytes + 1), 0x05060708u);
+  EXPECT_EQ(loadLe64(Bytes + 1), 0x0102030405060708ull);
+  unsigned char Out[9] = {};
+  storeLe64(Out + 1, 0x0102030405060708ull);
+  EXPECT_EQ(std::memcmp(Out + 1, Bytes + 1, 8), 0);
+  storeLe32(Out + 1, 0xDEADBEEFu);
+  EXPECT_EQ(Out[1], 0xEF);
+  EXPECT_EQ(Out[4], 0xDE);
+  EXPECT_EQ(Out[5], 0x04); // the rest of the 64-bit store is untouched
 }

@@ -7,11 +7,14 @@
 
 #include "trace/TraceIO.h"
 
+#include "support/Rng.h"
 #include "trace/ProgramModel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 using namespace rap;
 
@@ -172,4 +175,189 @@ TEST(TraceIO, PositionTracksConsumption) {
   Reader.next(Record);
   Reader.next(Record);
   EXPECT_EQ(Reader.position(), 2u);
+}
+
+namespace {
+
+/// FNV-1a over a byte string: pins encoder output without a literal.
+uint64_t fnv1a(const std::string &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (char C : Bytes) {
+    H ^= static_cast<unsigned char>(C);
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+} // namespace
+
+TEST(TraceIO, GoldenBytesOfTwoRecords) {
+  // Version 1 on the wire, byte for byte: header, a 13-byte record,
+  // a 29-byte record.
+  std::stringstream Stream;
+  TraceWriter Writer(Stream);
+  Writer.append(plainRecord(0x0102030405060708ull, /*Narrow=*/true));
+  Writer.append(loadRecord(0x400010, 0x1122334455667788ull, 0xAB));
+  ASSERT_TRUE(Writer.finish());
+  const unsigned char Expected[] = {
+      'R', 'A', 'P', 'T', 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+      // BlockPc, BlockLength 3, flags NarrowOperand
+      8, 7, 6, 5, 4, 3, 2, 1, 3, 0, 0, 0, 2,
+      // BlockPc, BlockLength 5, flags HasLoad, address, value
+      0x10, 0, 0x40, 0, 0, 0, 0, 0, 5, 0, 0, 0, 1,
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+      0xAB, 0, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(Stream.str(),
+            std::string(reinterpret_cast<const char *>(Expected),
+                        sizeof(Expected)));
+}
+
+TEST(TraceIO, GoldenBytesOfAModelStream) {
+  // The encoder's output for a fixed gcc model stream, as the
+  // original one-call-per-field writer produced it.
+  ProgramModel Model(getBenchmarkSpec("gcc"), 5);
+  std::stringstream Stream;
+  TraceWriter Writer(Stream);
+  for (int I = 0; I != 20000; ++I)
+    Writer.append(Model.next());
+  ASSERT_TRUE(Writer.finish());
+  const std::string Bytes = Stream.str();
+  EXPECT_EQ(Bytes.size(), 374864u);
+  EXPECT_EQ(fnv1a(Bytes), 0x05B9858DA58C9028ull);
+}
+
+namespace {
+
+/// A mixed stream: about half the records carry a load.
+std::vector<TraceRecord> mixedRecords(size_t Count, uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<TraceRecord> Records;
+  for (size_t I = 0; I != Count; ++I) {
+    if (R.nextBernoulli(0.5))
+      Records.push_back(loadRecord(R.next(), R.next(), R.next()));
+    else
+      Records.push_back(plainRecord(R.next(), R.nextBernoulli(0.5)));
+    Records.back().BlockLength = static_cast<uint32_t>(R.next());
+  }
+  return Records;
+}
+
+std::string encode(const std::vector<TraceRecord> &Records) {
+  std::stringstream Stream;
+  TraceWriter Writer(Stream);
+  for (const TraceRecord &Record : Records)
+    Writer.append(Record);
+  EXPECT_TRUE(Writer.finish());
+  return Stream.str();
+}
+
+/// Byte offset at which each record ends, after the 16-byte header.
+std::vector<size_t> recordEnds(const std::vector<TraceRecord> &Records) {
+  std::vector<size_t> Ends;
+  size_t Offset = 16;
+  for (const TraceRecord &Record : Records)
+    Ends.push_back(Offset += Record.HasLoad ? 29 : 13);
+  return Ends;
+}
+
+void expectSameRecord(const TraceRecord &Got, const TraceRecord &Want) {
+  EXPECT_EQ(Got.BlockPc, Want.BlockPc);
+  EXPECT_EQ(Got.BlockLength, Want.BlockLength);
+  EXPECT_EQ(Got.HasLoad, Want.HasLoad);
+  EXPECT_EQ(Got.NarrowOperand, Want.NarrowOperand);
+  EXPECT_EQ(Got.LoadAddress, Want.HasLoad ? Want.LoadAddress : 0);
+  EXPECT_EQ(Got.LoadValue, Want.HasLoad ? Want.LoadValue : 0);
+}
+
+/// Reads \p Bytes (a prefix of the encoding of \p Records) and checks
+/// the reader returns exactly the whole records in it, then reports a
+/// truncation unless the prefix is the whole trace.
+void expectPrefixDecodes(const std::string &Bytes,
+                         const std::vector<TraceRecord> &Records) {
+  std::vector<size_t> Ends = recordEnds(Records);
+  const size_t Whole = static_cast<size_t>(
+      std::upper_bound(Ends.begin(), Ends.end(), Bytes.size()) -
+      Ends.begin());
+  std::stringstream Stream(Bytes);
+  TraceReader Reader(Stream);
+  ASSERT_TRUE(Reader.valid()) << Reader.error();
+  TraceRecord Record;
+  for (size_t I = 0; I != Whole; ++I) {
+    ASSERT_TRUE(Reader.next(Record)) << "record " << I;
+    expectSameRecord(Record, Records[I]);
+  }
+  EXPECT_FALSE(Reader.next(Record));
+  EXPECT_EQ(Reader.position(), Whole);
+  if (Whole == Records.size()) {
+    EXPECT_TRUE(Reader.valid()) << Reader.error();
+  } else {
+    EXPECT_FALSE(Reader.valid());
+    EXPECT_EQ(Reader.error(), "truncated trace record");
+  }
+}
+
+} // namespace
+
+TEST(TraceIO, RecordsStraddlingRefillEdgesDecode) {
+  // The reader pulls the stream a whole block at a time, so stream
+  // reads split at file offsets that are multiples of the block size.
+  // Traces of several blocks put 13-byte and 29-byte records across
+  // those edges.
+  const std::vector<TraceRecord> Plain(16000, plainRecord(0x1234));
+  const std::vector<TraceRecord> Loads(7000, loadRecord(1, 2, 3));
+  const std::vector<TraceRecord> Mixed = mixedRecords(40000, 3);
+  // {plain, load} records that span a block edge.
+  auto Straddles = [](const std::vector<TraceRecord> &Records) {
+    std::vector<size_t> Ends = recordEnds(Records);
+    std::pair<unsigned, unsigned> Counts;
+    for (size_t I = 0; I != Records.size(); ++I) {
+      size_t Start = Ends[I] - (Records[I].HasLoad ? 29 : 13);
+      if (Start / TraceBlockBytes != (Ends[I] - 1) / TraceBlockBytes)
+        ++(Records[I].HasLoad ? Counts.second : Counts.first);
+    }
+    return Counts;
+  };
+  EXPECT_GE(Straddles(Plain).first, 2u);
+  EXPECT_GE(Straddles(Loads).second, 2u);
+  EXPECT_GE(Straddles(Mixed).first, 1u);
+  EXPECT_GE(Straddles(Mixed).second, 1u);
+  for (const std::vector<TraceRecord> *Records : {&Plain, &Loads, &Mixed}) {
+    const std::string Bytes = encode(*Records);
+    ASSERT_GT(Bytes.size(), 3 * TraceBlockBytes);
+    expectPrefixDecodes(Bytes, *Records);
+  }
+}
+
+TEST(TraceIO, TruncationAtEveryOffsetStopsAtTheLastWholeRecord) {
+  const std::vector<TraceRecord> Records = {
+      plainRecord(1), loadRecord(2, 3, 4), plainRecord(5, true),
+      plainRecord(6), loadRecord(7, 8, 9), loadRecord(10, 11, 12)};
+  const std::string Full = encode(Records);
+  ASSERT_EQ(Full.size(), 16u + 3 * 13 + 3 * 29);
+  for (size_t Cut = 0; Cut <= Full.size(); ++Cut) {
+    SCOPED_TRACE("cut at " + std::to_string(Cut));
+    const std::string Prefix = Full.substr(0, Cut);
+    if (Cut < 16) {
+      std::stringstream Stream(Prefix);
+      TraceReader Reader(Stream);
+      EXPECT_FALSE(Reader.valid());
+      EXPECT_EQ(Reader.error(), Cut < 4   ? "not a RAP trace (bad magic)"
+                                : Cut < 8 ? "unsupported trace format version"
+                                          : "truncated trace header");
+      continue;
+    }
+    expectPrefixDecodes(Prefix, Records);
+  }
+}
+
+TEST(TraceIO, TruncationNearBlockEdgesStopsAtTheLastWholeRecord) {
+  const std::vector<TraceRecord> Records = mixedRecords(15000, 4);
+  const std::string Full = encode(Records);
+  for (size_t Edge = TraceBlockBytes; Edge < Full.size();
+       Edge += TraceBlockBytes)
+    for (size_t Cut : {Edge - 29, Edge - 13, Edge - 1, Edge, Edge + 1,
+                       Edge + 13, Edge + 28}) {
+      SCOPED_TRACE("cut at " + std::to_string(Cut));
+      expectPrefixDecodes(Full.substr(0, Cut), Records);
+    }
 }
